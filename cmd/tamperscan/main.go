@@ -68,6 +68,11 @@
 // are resumed by the next -push run. -pop names this vantage (default
 // the hostname).
 //
+// -cpuprofile/-memprofile/-blockprofile/-mutexprofile write Go pprof
+// profiles of the whole run (flag parsing to exit), the same flags
+// trafficgen and paperbench take; block and mutex profiling are armed
+// only when requested.
+//
 // SIGINT/SIGTERM cancel the scan gracefully: the pipeline drains, the
 // partial report prints, pending pushes flush, and the process exits 3
 // (the partial-results code).
@@ -103,6 +108,7 @@ import (
 	"tamperdetect/internal/netsim"
 	"tamperdetect/internal/pcap"
 	"tamperdetect/internal/pipeline"
+	"tamperdetect/internal/profiling"
 	"tamperdetect/internal/stats"
 	"tamperdetect/internal/telemetry"
 	"tamperdetect/internal/trace"
@@ -141,6 +147,11 @@ func matcherMode(name string) (core.MatcherMode, error) {
 
 func main() {
 	var opts options
+	var prof profiling.Config
+	flag.StringVar(&prof.CPUProfile, "cpuprofile", "", "write a CPU profile to this path")
+	flag.StringVar(&prof.MemProfile, "memprofile", "", "write an allocation profile to this path")
+	flag.StringVar(&prof.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this path")
+	flag.StringVar(&prof.MutexProfile, "mutexprofile", "", "write a mutex contention profile to this path")
 	flag.BoolVar(&opts.verbose, "v", false, "print each connection's verdict")
 	flag.BoolVar(&opts.tamperedOnly, "tampered-only", false, "with -v, print only tampered connections")
 	flag.IntVar(&opts.workers, "workers", 0, "classifier parallelism (0 = all cores)")
@@ -160,6 +171,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: tamperscan [-v] [-tampered-only] [-workers N] [-shards N] [-classifier dfa|legacy] [-seq-decode] [-metrics-addr host:port] [-progress interval]
                   [-log-format text|json] [-trace-profile file] [-trace-sample N] [-flight-out file]
+                  [-cpuprofile file] [-memprofile file] [-blockprofile file] [-mutexprofile file]
                   [-push URL [-pop name] [-push-interval D] [-push-spill dir]] capture.{tdcap,pcap}
 
 exit status:
@@ -177,7 +189,16 @@ exit status:
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), opts); err != nil {
+	stopProf, err := profiling.Start(prof)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tamperscan:", err)
+		os.Exit(1)
+	}
+	err = run(flag.Arg(0), opts)
+	if perr := stopProf(); perr != nil {
+		fmt.Fprintln(os.Stderr, "tamperscan: profile write failed:", perr)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tamperscan:", err)
 		// A truncated or corrupt capture that still yielded results
 		// exits 3, distinct from total failure (1) and usage (2), so

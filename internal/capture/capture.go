@@ -12,7 +12,7 @@
 package capture
 
 import (
-	"hash/maphash"
+	"encoding/binary"
 	"math/rand/v2"
 	"net/netip"
 
@@ -102,7 +102,6 @@ func DefaultConfig() Config {
 // sampled connection records.
 type Sampler struct {
 	cfg    Config
-	seed   maphash.Seed
 	parser *packet.SummaryParser
 	flows  map[FlowKey]*Connection
 	order  []FlowKey // insertion order for deterministic drains
@@ -114,6 +113,18 @@ type Sampler struct {
 
 // NewSampler builds a sampler.
 func NewSampler(cfg Config) *Sampler {
+	s := &Sampler{
+		parser: packet.NewSummaryParser(),
+		flows:  make(map[FlowKey]*Connection),
+	}
+	s.Reset(cfg)
+	return s
+}
+
+// Reset forgets every tracked flow and the stats and applies cfg, as
+// NewSampler would, but keeps the sampler's parser and table storage.
+// Connections already returned by a Drain stay the caller's.
+func (s *Sampler) Reset(cfg Config) {
 	if cfg.Rate == 0 {
 		cfg.Rate = 1
 	}
@@ -123,12 +134,10 @@ func NewSampler(cfg Config) *Sampler {
 	if cfg.MaxPayload == 0 {
 		cfg.MaxPayload = 512
 	}
-	return &Sampler{
-		cfg:    cfg,
-		seed:   maphash.MakeSeed(),
-		parser: packet.NewSummaryParser(),
-		flows:  make(map[FlowKey]*Connection),
-	}
+	s.cfg = cfg
+	clear(s.flows)
+	s.order = s.order[:0]
+	s.SeenPackets, s.SampledPackets = 0, 0
 }
 
 // Inbound ingests one inbound packet; use it as a netsim path tap.
@@ -201,22 +210,30 @@ func (s *Sampler) Inbound(at netsim.Time, data []byte) {
 	conn.Packets = append(conn.Packets, rec)
 }
 
-// selected applies the deterministic uniform flow-hash sampling.
+// selected applies the deterministic uniform flow-hash sampling: a
+// fixed hash of the 4-tuple, so every sampler — in any process, on any
+// worker — admits the same flows at a given Rate.
 func (s *Sampler) selected(key FlowKey) bool {
 	if s.cfg.Rate <= 1 {
 		return true
 	}
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	b := key.Src.As16()
-	h.Write(b[:])
-	b = key.Dst.As16()
-	h.Write(b[:])
-	h.WriteByte(byte(key.SrcPort >> 8))
-	h.WriteByte(byte(key.SrcPort))
-	h.WriteByte(byte(key.DstPort >> 8))
-	h.WriteByte(byte(key.DstPort))
-	return h.Sum64()%s.cfg.Rate == 0
+	return flowHash(key)%s.cfg.Rate == 0
+}
+
+// flowHash chains the SplitMix64 finalizer over the 4-tuple's words.
+func flowHash(key FlowKey) uint64 {
+	src, dst := key.Src.As16(), key.Dst.As16()
+	h := uint64(key.SrcPort)<<16 | uint64(key.DstPort)
+	for _, w := range [4]uint64{
+		binary.BigEndian.Uint64(src[:8]), binary.BigEndian.Uint64(src[8:]),
+		binary.BigEndian.Uint64(dst[:8]), binary.BigEndian.Uint64(dst[8:]),
+	} {
+		h = (h ^ w) + 0x9e3779b97f4a7c15
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
 }
 
 // DrainIdle closes and returns connections whose last activity is at
@@ -251,8 +268,8 @@ func (s *Sampler) Drain(closeAt netsim.Time) []*Connection {
 		conn.CloseTime = ts
 		out = append(out, conn)
 	}
-	s.flows = make(map[FlowKey]*Connection)
-	s.order = nil
+	clear(s.flows)
+	s.order = s.order[:0]
 	return out
 }
 

@@ -244,3 +244,67 @@ func TestDrainIdle(t *testing.T) {
 		t.Errorf("final drain = %d conns", len(rest))
 	}
 }
+
+// TestSamplerSelectionIsProcessIndependent: the flow hash is a fixed
+// function of the 4-tuple, so independently built samplers — the
+// generator builds or resets one per simulated connection, on any
+// worker, in any process — admit the identical flow set at a given
+// Rate, and keep doing so after a Reset. (A per-sampler random hash
+// seed made the sampled population differ run to run.)
+func TestSamplerSelectionIsProcessIndependent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rate = 4
+	admitted := func(s *Sampler) map[FlowKey]bool {
+		for i := 0; i < 2000; i++ {
+			src := netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 9})
+			s.Inbound(0, buildPkt(t, src.String(), "192.0.2.1", uint16(2000+i%300), 443, packet.FlagsSYN, 0, nil))
+		}
+		set := map[FlowKey]bool{}
+		for _, c := range s.Drain(0) {
+			set[c.Key()] = true
+		}
+		return set
+	}
+	a, b := NewSampler(cfg), NewSampler(cfg)
+	first := admitted(a)
+	if len(first) == 0 || len(first) == 2000 {
+		t.Fatalf("rate 4 admitted %d of 2000 flows", len(first))
+	}
+	b.Reset(cfg)
+	for name, got := range map[string]map[FlowKey]bool{"second sampler": admitted(b), "first sampler again": admitted(a)} {
+		if len(got) != len(first) {
+			t.Fatalf("%s admitted %d flows, the first pass %d", name, len(got), len(first))
+		}
+		for k := range first {
+			if !got[k] {
+				t.Fatalf("%s rejected flow %v that the first pass admitted", name, k)
+			}
+		}
+	}
+}
+
+// TestSamplerReset: a Reset sampler has no flows and zeroed stats,
+// runs under the new config, and leaves drained records alone.
+func TestSamplerReset(t *testing.T) {
+	s := NewSampler(DefaultConfig())
+	s.Inbound(0, buildPkt(t, "20.0.0.1", "192.0.2.1", 1, 443, packet.FlagsSYN, 0, nil))
+	kept := s.Drain(0)
+	s.Inbound(0, buildPkt(t, "20.0.0.2", "192.0.2.1", 2, 443, packet.FlagsSYN, 0, nil))
+	cfg := DefaultConfig()
+	cfg.MaxPackets = 1
+	s.Reset(cfg)
+	if s.Pending() != 0 || s.SeenPackets != 0 || s.SampledPackets != 0 {
+		t.Fatalf("after Reset: pending=%d seen=%d sampled=%d", s.Pending(), s.SeenPackets, s.SampledPackets)
+	}
+	// The undrained flow is forgotten: its ACK is mid-flow noise now.
+	s.Inbound(0, buildPkt(t, "20.0.0.2", "192.0.2.1", 2, 443, packet.FlagsACK, 1, nil))
+	s.Inbound(0, buildPkt(t, "20.0.0.3", "192.0.2.1", 3, 443, packet.FlagsSYN, 0, nil))
+	s.Inbound(0, buildPkt(t, "20.0.0.3", "192.0.2.1", 3, 443, packet.FlagsACK, 1, nil))
+	conns := s.Drain(0)
+	if len(conns) != 1 || conns[0].SrcPort != 3 || len(conns[0].Packets) != 1 || conns[0].TotalPackets != 2 {
+		t.Fatalf("after Reset drained %+v, want only flow 3 capped at 1 packet", conns)
+	}
+	if len(kept) != 1 || kept[0].SrcPort != 1 || len(kept[0].Packets) != 1 {
+		t.Errorf("Reset disturbed an already drained record: %+v", kept)
+	}
+}

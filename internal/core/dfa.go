@@ -110,9 +110,9 @@ type absState struct {
 	// pos tracks the canonical prefix: 0 start, 1 [SYN], 2 [SYN,ACK],
 	// 3 [SYN,ACK,data], 4 [SYN,ACK,data,...], 5 non-canonical.
 	pos    uint8
-	fin    bool // FIN seen (meaningful only while no RST seen)
-	tail   bool // at least one RST seen; prefix frozen
-	broken bool // non-RST packet after an RST: SigOtherAnomalous
+	fin    bool  // FIN seen (meaningful only while no RST seen)
+	tail   bool  // at least one RST seen; prefix frozen
+	broken bool  // non-RST packet after an RST: SigOtherAnomalous
 	bare   uint8 // bare RSTs in the tail: 0, 1, 2 (==2 means >=2)
 	wack   uint8 // RST+ACKs in the tail: 0, 1, 2 (==2 means >=2)
 	ack    uint8 // bare-RST ack pattern (ackNone..ackMixed)

@@ -362,10 +362,10 @@ func connFromFuzz(data []byte) *capture.Connection {
 // identical Result.
 func FuzzDFAClassifierParity(f *testing.F) {
 	f.Add([]byte{0})
-	f.Add([]byte{4, 2, 0, 0, 0, 0})                                        // lone SYN, trailing silence
-	f.Add([]byte{0, 2, 0, 0, 0, 0, 16, 0, 0, 0, 1, 4, 0, 1, 0, 2})        // SYN ACK RST
+	f.Add([]byte{4, 2, 0, 0, 0, 0})                                                 // lone SYN, trailing silence
+	f.Add([]byte{0, 2, 0, 0, 0, 0, 16, 0, 0, 0, 1, 4, 0, 1, 0, 2})                  // SYN ACK RST
 	f.Add([]byte{1, 2, 0, 0, 1, 0, 16, 0, 0, 0, 1, 24, 2, 0, 0, 2, 20, 0, 1, 0, 3}) // v6 handshake + data + RST+ACK
-	f.Add([]byte{6, 4, 0, 0, 4, 0, 1, 0, 0, 0, 5})                        // gaps + FIN
+	f.Add([]byte{6, 4, 0, 0, 4, 0, 1, 0, 0, 0, 5})                                  // gaps + FIN
 	dfa := core.NewClassifier(core.Config{Matcher: core.MatcherDFA})
 	legacy := core.NewClassifier(core.Config{Matcher: core.MatcherLegacy})
 	f.Fuzz(func(t *testing.T, data []byte) {

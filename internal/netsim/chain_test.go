@@ -19,8 +19,9 @@ func (m *tagMB) Process(dir Direction, data []byte, inject func(Direction, []byt
 	return !m.drop
 }
 
-func TestTwoMiddleboxChainOrder(t *testing.T) {
-	s := NewSim(0)
+func TestTwoMiddleboxChainOrder(t *testing.T) { bothSims(t, 0, testTwoMiddleboxChainOrder) }
+
+func testTwoMiddleboxChainOrder(t *testing.T, s *Sim) {
 	var log []string
 	a := &tagMB{name: "a", log: &log}
 	b := &tagMB{name: "b", log: &log}
@@ -57,7 +58,10 @@ func TestTwoMiddleboxChainOrder(t *testing.T) {
 }
 
 func TestSecondMiddleboxDropHidesFromServerNotFirst(t *testing.T) {
-	s := NewSim(0)
+	bothSims(t, 0, testSecondMiddleboxDropHidesFromServerNotFirst)
+}
+
+func testSecondMiddleboxDropHidesFromServerNotFirst(t *testing.T, s *Sim) {
 	var log []string
 	a := &tagMB{name: "a", log: &log}
 	b := &tagMB{name: "b", log: &log, drop: true}
@@ -93,9 +97,12 @@ func (m *injectAtFirst) Process(dir Direction, data []byte, inject func(Directio
 }
 
 func TestInjectionFromFirstOfTwoMiddleboxes(t *testing.T) {
+	bothSims(t, 0, testInjectionFromFirstOfTwoMiddleboxes)
+}
+
+func testInjectionFromFirstOfTwoMiddleboxes(t *testing.T, s *Sim) {
 	// The injected packet must traverse only the first segment back to
 	// the client — and the second middlebox must not see it.
-	s := NewSim(0)
 	var log []string
 	second := &tagMB{name: "second", log: &log}
 	srv := &recorder{sim: s}
@@ -127,9 +134,10 @@ func TestInjectionFromFirstOfTwoMiddleboxes(t *testing.T) {
 	}
 }
 
-func TestPathIndependentFlows(t *testing.T) {
+func TestPathIndependentFlows(t *testing.T) { bothSims(t, 0, testPathIndependentFlows) }
+
+func testPathIndependentFlows(t *testing.T, s *Sim) {
 	// Two paths sharing one sim do not interfere.
-	s := NewSim(0)
 	srv1, srv2 := &recorder{sim: s}, &recorder{sim: s}
 	cli1, cli2 := &recorder{sim: s}, &recorder{sim: s}
 	p1 := NewPath(s, PathConfig{Segments: []Segment{{Delay: time.Millisecond, Hops: 1}}}, cli1, srv1)

@@ -28,8 +28,10 @@ func (d Direction) String() string {
 
 // Endpoint receives raw IP packets delivered by a path.
 type Endpoint interface {
-	// Recv handles a packet that arrived at this endpoint. The slice
-	// is owned by the endpoint after the call.
+	// Recv handles a packet that arrived at this endpoint. The bytes
+	// stay valid until the connection's simulation ends (the sender
+	// may have built them in a per-connection arena): copy what you
+	// keep beyond that.
 	Recv(data []byte)
 }
 
@@ -46,7 +48,8 @@ type Middlebox interface {
 	// Process is called when a packet reaches the middlebox. Returning
 	// false drops the packet. inject sends a forged packet onward from
 	// the middlebox's position in the given direction; injected bytes
-	// are owned by the path afterwards.
+	// are owned by the path afterwards. data is valid until the
+	// connection's simulation ends — copy what you keep beyond that.
 	Process(dir Direction, data []byte, inject func(dir Direction, data []byte)) (forward bool)
 }
 
@@ -101,21 +104,48 @@ type Path struct {
 	client Endpoint
 	server Endpoint
 	// Tap observes packets arriving at the server, before the server
-	// endpoint handles them.
+	// endpoint handles them. data is valid until the connection's
+	// simulation ends — copy what you keep beyond that.
 	Tap func(at Time, data []byte)
 	// Down, when true, drops everything in both directions (used to
 	// model shutdown-style outages).
 	Down bool
+
+	// injected collects what a middlebox forges while it processes one
+	// packet; collect is the inject callback handed to Process, bound
+	// once so a hop allocates neither a closure nor a slice.
+	injected []injection
+	collect  func(Direction, []byte)
+}
+
+// injection is one forged packet awaiting dispatch.
+type injection struct {
+	dir  Direction
+	data []byte
 }
 
 // NewPath wires a client and server together. cfg.Segments must have
 // len(cfg.Middleboxes)+1 entries; NewPath panics otherwise, since this
 // is a static topology error.
 func NewPath(sim *Sim, cfg PathConfig, client, server Endpoint) *Path {
+	p := &Path{sim: sim, client: client, server: server}
+	p.collect = func(dir Direction, data []byte) {
+		p.injected = append(p.injected, injection{dir, data})
+	}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset re-routes the path over a new topology between the same
+// endpoints, for the next connection on a Reset Sim: packets still in
+// flight are the Sim's to drop. It keeps Tap, clears Down, and panics
+// on a malformed cfg like NewPath.
+func (p *Path) Reset(cfg PathConfig) {
 	if len(cfg.Segments) != len(cfg.Middleboxes)+1 {
 		panic("netsim: PathConfig needs len(Segments) == len(Middleboxes)+1")
 	}
-	return &Path{sim: sim, cfg: cfg, client: client, server: server}
+	p.cfg = cfg
+	p.Down = false
 }
 
 // SendFromClient injects a packet at the client end of the path.
@@ -148,38 +178,39 @@ func (p *Path) send(dir Direction, pos int, data []byte) {
 // deliver carries one packet copy across the segment at pos, applying
 // the segment delay plus any hook-imposed extra delay.
 func (p *Path) deliver(dir Direction, pos int, data []byte, extra time.Duration) {
-	seg := p.segmentAt(dir, pos)
-	p.sim.Schedule(seg.Delay+extra, func() {
-		if p.Down {
-			return
-		}
-		if !packet.DecrementTTL(data, seg.Hops) {
-			return // TTL expired in transit
-		}
-		next := pos + 1
-		if next == len(p.cfg.Segments) {
-			p.arrive(dir, data)
-			return
-		}
-		mb := p.middleboxAt(dir, next)
-		// Injections are dispatched after the forwarding decision so a
-		// forged packet never overtakes the packet that triggered it —
-		// matching off-path injectors, which race behind the original.
-		type injection struct {
-			dir  Direction
-			data []byte
-		}
-		var injected []injection
-		forward := mb.Process(dir, data, func(injDir Direction, inj []byte) {
-			injected = append(injected, injection{injDir, inj})
-		})
-		if forward {
-			p.send(dir, next, data)
-		}
-		for _, in := range injected {
-			p.injectFrom(dir, next, in.dir, in.data)
-		}
-	})
+	p.sim.ScheduleEvent(p.segmentAt(dir, pos).Delay+extra, p, pos<<1|int(dir), data)
+}
+
+// Fire implements simtime.Handler: a packet scheduled by deliver has
+// crossed its segment. kind packs the direction (bit 0) and the
+// segment position.
+func (p *Path) Fire(kind int, data []byte) {
+	dir, pos := Direction(kind&1), kind>>1
+	if p.Down {
+		return
+	}
+	if !packet.DecrementTTL(data, p.segmentAt(dir, pos).Hops) {
+		return // TTL expired in transit
+	}
+	next := pos + 1
+	if next == len(p.cfg.Segments) {
+		p.arrive(dir, data)
+		return
+	}
+	// Injections are dispatched after the forwarding decision so a
+	// forged packet never overtakes the packet that triggered it —
+	// matching off-path injectors, which race behind the original.
+	// Nothing below re-enters Fire (send only schedules), so one
+	// scratch slice serves every hop.
+	p.injected = p.injected[:0]
+	forward := p.middleboxAt(dir, next).Process(dir, data, p.collect)
+	if forward {
+		p.send(dir, next, data)
+	}
+	for i := range p.injected {
+		p.injectFrom(dir, next, p.injected[i].dir, p.injected[i].data)
+		p.injected[i].data = nil
+	}
 }
 
 // injectFrom sends a forged packet from the middlebox boundary at

@@ -56,8 +56,9 @@ func (m *passMB) Process(dir Direction, data []byte, inject func(Direction, []by
 	return true
 }
 
-func TestPathDelayAndTTL(t *testing.T) {
-	s := NewSim(0)
+func TestPathDelayAndTTL(t *testing.T) { bothSims(t, 0, testPathDelayAndTTL) }
+
+func testPathDelayAndTTL(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	mb := &passMB{}
@@ -83,8 +84,9 @@ func TestPathDelayAndTTL(t *testing.T) {
 	}
 }
 
-func TestPathServerToClient(t *testing.T) {
-	s := NewSim(0)
+func TestPathServerToClient(t *testing.T) { bothSims(t, 0, testPathServerToClient) }
+
+func testPathServerToClient(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	mb := &passMB{}
@@ -117,8 +119,9 @@ func (m *dropMB) Process(dir Direction, data []byte, inject func(Direction, []by
 	return m.seen <= 1
 }
 
-func TestPathDrop(t *testing.T) {
-	s := NewSim(0)
+func TestPathDrop(t *testing.T) { bothSims(t, 0, testPathDrop) }
+
+func testPathDrop(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	p := NewPath(s, PathConfig{
@@ -152,8 +155,9 @@ func (m *injectMB) Process(dir Direction, data []byte, inject func(Direction, []
 	return true
 }
 
-func TestPathInjectBothDirections(t *testing.T) {
-	s := NewSim(0)
+func TestPathInjectBothDirections(t *testing.T) { bothSims(t, 0, testPathInjectBothDirections) }
+
+func testPathInjectBothDirections(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	p := NewPath(s, PathConfig{
@@ -189,8 +193,9 @@ func TestPathInjectBothDirections(t *testing.T) {
 	}
 }
 
-func TestPathTap(t *testing.T) {
-	s := NewSim(0)
+func TestPathTap(t *testing.T) { bothSims(t, 0, testPathTap) }
+
+func testPathTap(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	p := NewPath(s, PathConfig{Segments: []Segment{{Delay: time.Millisecond, Hops: 1}}}, cli, srv)
@@ -204,8 +209,9 @@ func TestPathTap(t *testing.T) {
 	}
 }
 
-func TestPathTTLExpiry(t *testing.T) {
-	s := NewSim(0)
+func TestPathTTLExpiry(t *testing.T) { bothSims(t, 0, testPathTTLExpiry) }
+
+func testPathTTLExpiry(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	p := NewPath(s, PathConfig{Segments: []Segment{{Delay: time.Millisecond, Hops: 10}}}, cli, srv)
@@ -216,8 +222,9 @@ func TestPathTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestPathDown(t *testing.T) {
-	s := NewSim(0)
+func TestPathDown(t *testing.T) { bothSims(t, 0, testPathDown) }
+
+func testPathDown(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	p := NewPath(s, PathConfig{Segments: []Segment{{Delay: time.Millisecond, Hops: 1}}}, cli, srv)
@@ -229,8 +236,9 @@ func TestPathDown(t *testing.T) {
 	}
 }
 
-func TestPathLoss(t *testing.T) {
-	s := NewSim(0)
+func TestPathLoss(t *testing.T) { bothSims(t, 0, testPathLoss) }
+
+func testPathLoss(t *testing.T, s *Sim) {
 	srv := &recorder{sim: s}
 	cli := &recorder{sim: s}
 	p := NewPath(s, PathConfig{
@@ -252,4 +260,45 @@ func TestPathConfigValidation(t *testing.T) {
 		}
 	}()
 	NewPath(NewSim(0), PathConfig{Segments: []Segment{{}}, Middleboxes: []Middlebox{&passMB{}}}, nil, nil)
+}
+
+// TestPathReset: a Reset path routes the next connection over its new
+// topology — delays, hops, middleboxes — between the same endpoints,
+// keeps its Tap, comes back up, and forgets what the previous
+// connection left in flight once the Sim is Reset with it.
+func TestPathReset(t *testing.T) {
+	s := NewSim(0)
+	srv, cli := &recorder{sim: s}, &recorder{sim: s}
+	p := NewPath(s, PathConfig{Segments: []Segment{{Delay: time.Second, Hops: 1}}}, cli, srv)
+	taps := 0
+	p.Tap = func(Time, []byte) { taps++ }
+	p.SendFromClient(v4Packet(t, 64, packet.FlagsSYN)) // still in flight at the Reset
+	p.Down = true
+
+	s.Reset(Time(time.Minute))
+	mb := &injectMB{t: t}
+	p.Reset(PathConfig{
+		Segments:    []Segment{{Delay: 10 * time.Millisecond, Hops: 4}, {Delay: 20 * time.Millisecond, Hops: 6}},
+		Middleboxes: []Middlebox{mb},
+	})
+	p.SendFromClient(v4Packet(t, 64, packet.FlagsPSHACK))
+	s.Run(0)
+	if len(srv.pkts) != 2 || taps != 2 {
+		t.Fatalf("server got %d packets, tap %d; want the forwarded packet and one injection", len(srv.pkts), taps)
+	}
+	if got := ttlOf(t, srv.pkts[0]); got != 54 {
+		t.Errorf("TTL at server = %d, want 54 over the new segments", got)
+	}
+	if want := Time(time.Minute).Add(30 * time.Millisecond); srv.times[0] != want {
+		t.Errorf("arrival at %v, want %v", srv.times[0], want)
+	}
+	if len(cli.pkts) != 1 {
+		t.Errorf("client got %d injected packets, want 1", len(cli.pkts))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset accepted a PathConfig with mismatched segments")
+		}
+	}()
+	p.Reset(PathConfig{Segments: []Segment{{}}, Middleboxes: []Middlebox{mb}})
 }

@@ -5,8 +5,30 @@ import (
 	"time"
 )
 
-func TestSimOrdering(t *testing.T) {
-	s := NewSim(0)
+// bothSims runs body on a fresh Sim and on one that lived a busy life
+// — events fired, cancelled and still queued — before being Reset to
+// start: every behaviour this package tests must be the same on both.
+func bothSims(t *testing.T, start Time, body func(*testing.T, *Sim)) {
+	t.Run("new", func(t *testing.T) { body(t, NewSim(start)) })
+	t.Run("reset", func(t *testing.T) {
+		s := NewSim(start + Time(time.Hour))
+		for i := 0; i < 40; i++ {
+			tm := s.Schedule(time.Duration(i%7)*time.Second, func() {
+				s.Schedule(time.Hour, func() { t.Error("event from before the Reset ran") })
+			})
+			if i%3 == 0 {
+				tm.Stop()
+			}
+		}
+		s.Run(20)
+		s.Reset(start)
+		body(t, s)
+	})
+}
+
+func TestSimOrdering(t *testing.T) { bothSims(t, 0, testSimOrdering) }
+
+func testSimOrdering(t *testing.T, s *Sim) {
 	var got []int
 	s.Schedule(3*time.Second, func() { got = append(got, 3) })
 	s.Schedule(1*time.Second, func() { got = append(got, 1) })
@@ -20,8 +42,9 @@ func TestSimOrdering(t *testing.T) {
 	}
 }
 
-func TestSimSameTimeFIFO(t *testing.T) {
-	s := NewSim(0)
+func TestSimSameTimeFIFO(t *testing.T) { bothSims(t, 0, testSimSameTimeFIFO) }
+
+func testSimSameTimeFIFO(t *testing.T, s *Sim) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -35,8 +58,9 @@ func TestSimSameTimeFIFO(t *testing.T) {
 	}
 }
 
-func TestSimNestedScheduling(t *testing.T) {
-	s := NewSim(0)
+func TestSimNestedScheduling(t *testing.T) { bothSims(t, 0, testSimNestedScheduling) }
+
+func testSimNestedScheduling(t *testing.T, s *Sim) {
 	var fired []Time
 	s.Schedule(time.Second, func() {
 		fired = append(fired, s.Now())
@@ -50,8 +74,9 @@ func TestSimNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	s := NewSim(0)
+func TestTimerStop(t *testing.T) { bothSims(t, 0, testTimerStop) }
+
+func testTimerStop(t *testing.T, s *Sim) {
 	fired := false
 	tm := s.Schedule(time.Second, func() { fired = true })
 	tm.Stop()
@@ -64,8 +89,9 @@ func TestTimerStop(t *testing.T) {
 	zero.Stop() // must not panic
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewSim(0)
+func TestRunUntil(t *testing.T) { bothSims(t, 0, testRunUntil) }
+
+func testRunUntil(t *testing.T, s *Sim) {
 	var got []int
 	s.Schedule(1*time.Second, func() { got = append(got, 1) })
 	s.Schedule(5*time.Second, func() { got = append(got, 5) })
@@ -85,8 +111,9 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunMaxSteps(t *testing.T) {
-	s := NewSim(0)
+func TestRunMaxSteps(t *testing.T) { bothSims(t, 0, testRunMaxSteps) }
+
+func testRunMaxSteps(t *testing.T, s *Sim) {
 	n := 0
 	var reschedule func()
 	reschedule = func() {
@@ -100,8 +127,9 @@ func TestRunMaxSteps(t *testing.T) {
 	}
 }
 
-func TestNegativeDelay(t *testing.T) {
-	s := NewSim(Time(time.Hour))
+func TestNegativeDelay(t *testing.T) { bothSims(t, Time(time.Hour), testNegativeDelay) }
+
+func testNegativeDelay(t *testing.T, s *Sim) {
 	fired := Time(0)
 	s.Schedule(-time.Second, func() { fired = s.Now() })
 	s.Run(0)

@@ -1,18 +1,51 @@
 package packet
 
-import "net/netip"
+import (
+	"encoding/binary"
+	"net/netip"
+)
 
 // onesSum accumulates the 16-bit one's-complement sum over data into acc.
 // A trailing odd byte is padded with zero, per RFC 1071.
+//
+// It reads eight bytes per step and adds them as two 32-bit words:
+// 2^16 ≡ 1 (mod 0xffff), so a wider word contributes the same residue
+// as the 16-bit words it is made of, and folding with end-around carry
+// never turns a non-zero sum into zero. The data's contribution is
+// folded to 16 bits before it joins acc, so acc grows by at most
+// 0xffff per call and foldChecksum(acc) is exactly what summing 16-bit
+// words one at a time gives.
 func onesSum(acc uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		acc += uint32(data[i])<<8 | uint32(data[i+1])
+	var sum uint64 // each step adds < 2^33: no overflow below 16 GiB of data
+	for len(data) >= 32 {
+		a := binary.BigEndian.Uint64(data)
+		b := binary.BigEndian.Uint64(data[8:])
+		c := binary.BigEndian.Uint64(data[16:])
+		d := binary.BigEndian.Uint64(data[24:])
+		sum += a>>32 + a&0xffffffff + b>>32 + b&0xffffffff
+		sum += c>>32 + c&0xffffffff + d>>32 + d&0xffffffff
+		data = data[32:]
 	}
-	if n%2 == 1 {
-		acc += uint32(data[n-1]) << 8
+	for len(data) >= 8 {
+		v := binary.BigEndian.Uint64(data)
+		sum += v>>32 + v&0xffffffff
+		data = data[8:]
 	}
-	return acc
+	if len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum += uint64(data[0]) << 8
+	}
+	for sum > 0xffff {
+		sum = sum>>16 + sum&0xffff
+	}
+	return acc + uint32(sum)
 }
 
 // foldChecksum folds a 32-bit accumulator into the final 16-bit

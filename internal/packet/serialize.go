@@ -129,24 +129,72 @@ type sizedLayer interface {
 // layer reports its size, the buffer is sized exactly once up front.
 func SerializeLayers(b *SerializeBuffer, opts SerializeOptions, layers ...SerializableLayer) error {
 	b.Clear()
-	need := 0
-	for _, l := range layers {
-		s, ok := l.(sizedLayer)
-		if !ok {
-			need = 0
-			break
-		}
-		need += s.serializedSize()
-	}
-	if need > 0 {
+	if need := layersSize(layers); need > 0 {
 		b.ensureHeadroom(need)
 	}
+	return prependLayers(b, opts, layers)
+}
+
+// prependLayers serializes layers innermost-first onto b.
+func prependLayers(b *SerializeBuffer, opts SerializeOptions, layers []SerializableLayer) error {
 	for i := len(layers) - 1; i >= 0; i-- {
 		if err := layers[i].SerializeTo(b, opts); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// layersSize is the exact serialized size of layers, or 0 when one of
+// them cannot report its size up front.
+func layersSize(layers []SerializableLayer) int {
+	need := 0
+	for _, l := range layers {
+		s, ok := l.(sizedLayer)
+		if !ok {
+			return 0
+		}
+		need += s.serializedSize()
+	}
+	return need
+}
+
+// Arena serializes packets that all die together — one simulated
+// connection's traffic — into one reusable slab, so building a packet
+// allocates nothing. Every slice it returned is invalid after Reset.
+// An Arena is not safe for concurrent use.
+type Arena struct {
+	slab []byte
+	used int
+	buf  SerializeBuffer
+}
+
+// NewArena returns an arena whose slab holds size bytes. Packets that
+// no longer fit are built on the heap instead: the arena never grows.
+func NewArena(size int) *Arena {
+	return &Arena{slab: make([]byte, size)}
+}
+
+// Reset reclaims the slab for the next connection.
+func (a *Arena) Reset() { a.used = 0 }
+
+// Serialize is SerializeLayers into the arena: the returned bytes are
+// the caller's until Reset.
+func (a *Arena) Serialize(opts SerializeOptions, layers ...SerializableLayer) ([]byte, error) {
+	need := layersSize(layers)
+	if need > 0 && need <= len(a.slab)-a.used {
+		// Full slice expression: a prepend that outgrew need would
+		// reallocate rather than run into the previous packet.
+		a.buf.data = a.slab[a.used : a.used+need : a.used+need]
+		a.used += need
+	} else {
+		a.buf.data = make([]byte, need)
+	}
+	a.buf.start = len(a.buf.data)
+	err := prependLayers(&a.buf, opts, layers)
+	out := a.buf.Bytes()
+	a.buf.data = nil
+	return out, err
 }
 
 // AppendLayers serializes the layers as SerializeLayers does and

@@ -161,15 +161,26 @@ type Client struct {
 // NewClient builds a client. Call Attach to wire it to a path sender,
 // then Start to begin the attempt.
 func NewClient(sim *netsim.Sim, cfg ClientConfig, rng *rand.Rand) *Client {
-	c := &Client{
-		sim:    sim,
-		cfg:    cfg.withDefaults(),
-		w:      newWire(cfg.Net),
-		parser: packet.NewSummaryParser(),
-		rng:    rng,
-	}
-	c.isn = randISN(rng)
+	c := &Client{sim: sim, w: newWire(cfg.Net), parser: packet.NewSummaryParser()}
+	c.Reset(cfg, rng)
 	return c
+}
+
+// Reset readies the client for a new connection attempt on the same
+// (Reset) Sim and attached sender, exactly as NewClient would build it
+// — it draws the ISN from rng at the same point — while keeping its
+// packet arena, parser and queue storage. Timers of the previous
+// attempt are the Sim's to drop; packets the client built for it are
+// invalid from here on.
+func (c *Client) Reset(cfg ClientConfig, rng *rand.Rand) {
+	clear(c.ooo)
+	*c = Client{
+		sim: c.sim, send: c.send, w: c.w, parser: c.parser,
+		sendQ: c.sendQ[:0], ooo: c.ooo,
+		cfg: cfg.withDefaults(), rng: rng,
+	}
+	c.w.reset(cfg.Net)
+	c.isn = randISN(rng)
 }
 
 // Attach sets the function used to transmit packets (normally
@@ -190,30 +201,111 @@ func (c *Client) sendSYN() {
 	c.synTry++
 	if c.cfg.Behavior == BehaviorDoubleSYN && c.synTry == 1 {
 		// Immediate duplicate, before any timeout.
-		c.sim.Schedule(30*time.Millisecond, func() {
-			if c.state == clSynSent {
-				c.send(c.w.build(packet.FlagsSYN, c.isn, 0, payload, true))
-			}
-		})
+		c.after(30*time.Millisecond, evDoubleSYN)
 	}
 	c.retransTimer.Stop()
-	if c.synTry <= c.cfg.SYNRetries {
-		backoff := c.cfg.RTO << (c.synTry - 1)
-		c.retransTimer = c.sim.Schedule(backoff, func() {
-			if c.state == clSynSent {
-				if c.synTry > c.cfg.SYNRetries {
-					c.finish("syn-timeout")
-					return
-				}
-				c.sendSYN()
-			}
-		})
-	} else {
-		c.retransTimer = c.sim.Schedule(c.cfg.RTO<<uint(c.synTry), func() {
-			if c.state == clSynSent {
+	backoff := c.cfg.RTO << (c.synTry - 1)
+	if c.synTry > c.cfg.SYNRetries {
+		// Out of retries: one last, longer wait, then give up.
+		backoff = c.cfg.RTO << uint(c.synTry)
+	}
+	c.retransTimer = c.after(backoff, evSYNTimeout)
+}
+
+// clientEvent names a client timer body. Timers are scheduled as
+// (client, event) pairs rather than closures, so arming one allocates
+// nothing; every body re-reads the state it needs when it fires.
+type clientEvent int
+
+const (
+	evDoubleSYN clientEvent = iota
+	evSYNTimeout
+	evRedundantACK
+	evSendSegment
+	evDataRTO
+	evResponseTimeout
+	evDelayedACK
+	evResetClose
+	evClose
+	evFINGiveUp
+	evFINRetransmit
+)
+
+func (c *Client) after(d time.Duration, ev clientEvent) netsim.Timer {
+	return c.sim.ScheduleEvent(d, c, int(ev), nil)
+}
+
+// Fire implements simtime.Handler: timer ev expired.
+func (c *Client) Fire(ev int, _ []byte) {
+	switch clientEvent(ev) {
+	case evDoubleSYN:
+		if c.state == clSynSent {
+			c.send(c.w.build(packet.FlagsSYN, c.isn, 0, c.cfg.SYNPayload, true))
+		}
+	case evSYNTimeout:
+		if c.state == clSynSent {
+			if c.synTry > c.cfg.SYNRetries {
 				c.finish("syn-timeout")
+				return
 			}
-		})
+			c.sendSYN()
+		}
+	case evRedundantACK:
+		c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
+		c.finish("redundant-ack-stall")
+	case evSendSegment:
+		// segIdx moves only in sendSegment, and at most one send is
+		// armed at a time, so this is the segment the timer was armed
+		// for.
+		if c.state == clEstablished {
+			c.sendSegment(c.cfg.Segments[c.segIdx])
+		}
+	case evDataRTO:
+		if c.state != clEstablished || len(c.sendQ) == 0 {
+			return
+		}
+		if c.dataTry > c.cfg.DataRetries {
+			c.finish("data-timeout")
+			return
+		}
+		c.retransmitHead()
+		c.dataTry++
+		c.armDataRTO()
+	case evResponseTimeout:
+		if c.state == clEstablished && !c.respSeen {
+			c.finish("response-timeout")
+		}
+	case evDelayedACK:
+		if c.state == clClosed || !c.ackPending {
+			return
+		}
+		c.ackPending = false
+		c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
+	case evResetClose:
+		if c.state == clEstablished && !c.Done {
+			c.send(c.w.build(packet.FlagsRST, c.sndNxt, 0, nil, false))
+			c.finish("reset-close")
+		}
+	case evClose:
+		if c.state != clEstablished || c.finSent {
+			return
+		}
+		c.finSent = true
+		c.state = clFinWait
+		c.finSeq = c.sndNxt
+		c.sndNxt++
+		c.sendFIN()
+		// Await the server FIN; handled in handleEstablished. Give up
+		// eventually either way.
+		c.after(5*time.Second, evFINGiveUp)
+	case evFINGiveUp:
+		if !c.Done {
+			c.finish("fin-timeout")
+		}
+	case evFINRetransmit:
+		if !c.Done && c.state == clFinWait && !c.finAcked {
+			c.sendFIN()
+		}
 	}
 }
 
@@ -261,10 +353,7 @@ func (c *Client) handleSYNACK(s packet.Summary) {
 		c.finish("stalled")
 		return
 	case BehaviorRedundantACK:
-		c.sim.Schedule(40*time.Millisecond, func() {
-			c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
-			c.finish("redundant-ack-stall")
-		})
+		c.after(40*time.Millisecond, evRedundantACK)
 		return
 	}
 	if len(c.cfg.Segments) == 0 {
@@ -292,12 +381,7 @@ func (c *Client) scheduleSegment() {
 	if gap == 0 {
 		gap = 5 * time.Millisecond
 	}
-	c.sim.Schedule(gap, func() {
-		if c.state != clEstablished {
-			return
-		}
-		c.sendSegment(seg)
-	})
+	c.after(gap, evSendSegment)
 }
 
 func (c *Client) sendSegment(seg Segment) {
@@ -319,19 +403,7 @@ func (c *Client) sendSegment(seg Segment) {
 // with exponential backoff.
 func (c *Client) armDataRTO() {
 	c.retransTimer.Stop()
-	backoff := c.cfg.RTO << (c.dataTry - 1)
-	c.retransTimer = c.sim.Schedule(backoff, func() {
-		if c.state != clEstablished || len(c.sendQ) == 0 {
-			return
-		}
-		if c.dataTry > c.cfg.DataRetries {
-			c.finish("data-timeout")
-			return
-		}
-		c.retransmitHead()
-		c.dataTry++
-		c.armDataRTO()
-	})
+	c.retransTimer = c.after(c.cfg.RTO<<(c.dataTry-1), evDataRTO)
 }
 
 // retransmitHead resends the oldest unacknowledged segment.
@@ -342,11 +414,7 @@ func (c *Client) retransmitHead() {
 
 func (c *Client) armResponseTimeout() {
 	c.respTimer.Stop()
-	c.respTimer = c.sim.Schedule(c.cfg.ResponseTimeout, func() {
-		if c.state == clEstablished && !c.respSeen {
-			c.finish("response-timeout")
-		}
-	})
+	c.respTimer = c.after(c.cfg.ResponseTimeout, evResponseTimeout)
 }
 
 func (c *Client) handleEstablished(s packet.Summary) {
@@ -391,13 +459,7 @@ func (c *Client) handleEstablished(s packet.Summary) {
 		// burst into one cumulative ACK, as real stacks do.
 		if !c.ackPending {
 			c.ackPending = true
-			c.ackTimer = c.sim.Schedule(15*time.Millisecond, func() {
-				if c.state == clClosed || !c.ackPending {
-					return
-				}
-				c.ackPending = false
-				c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
-			})
+			c.ackTimer = c.after(15*time.Millisecond, evDelayedACK)
 		}
 		if c.awaitingResp {
 			c.awaitingResp = false
@@ -415,12 +477,7 @@ func (c *Client) handleEstablished(s packet.Summary) {
 				}
 				c.finish("abandoned-idle")
 			case BehaviorResetClose:
-				c.sim.Schedule(c.cfg.CloseDelay, func() {
-					if c.state == clEstablished && !c.Done {
-						c.send(c.w.build(packet.FlagsRST, c.sndNxt, 0, nil, false))
-						c.finish("reset-close")
-					}
-				})
+				c.after(c.cfg.CloseDelay, evResetClose)
 			default:
 				c.scheduleClose()
 			}
@@ -457,7 +514,9 @@ func (c *Client) handleACK(s packet.Summary) {
 		if !seqGE(s.Ack, h.seq+uint32(len(h.data))) {
 			break
 		}
-		c.sendQ = c.sendQ[1:]
+		// Shift rather than reslice: the queue's storage is reused
+		// across connections and must keep its capacity.
+		c.sendQ = c.sendQ[:copy(c.sendQ, c.sendQ[1:])]
 		progressed = true
 	}
 	switch {
@@ -482,23 +541,7 @@ func (c *Client) scheduleClose() {
 	if c.closeTimer != (netsim.Timer{}) {
 		return
 	}
-	c.closeTimer = c.sim.Schedule(c.cfg.CloseDelay, func() {
-		if c.state != clEstablished || c.finSent {
-			return
-		}
-		c.finSent = true
-		c.state = clFinWait
-		c.finSeq = c.sndNxt
-		c.sndNxt++
-		c.sendFIN()
-		// Await the server FIN; handled in handleEstablished. Give up
-		// eventually either way.
-		c.sim.Schedule(5*time.Second, func() {
-			if !c.Done {
-				c.finish("fin-timeout")
-			}
-		})
-	})
+	c.closeTimer = c.after(c.cfg.CloseDelay, evClose)
 }
 
 // sendFIN transmits (or retransmits) the client FIN with backoff until
@@ -508,11 +551,7 @@ func (c *Client) sendFIN() {
 	c.finTry++
 	c.finTimer.Stop()
 	if c.finTry <= 3 {
-		c.finTimer = c.sim.Schedule(c.cfg.RTO<<(c.finTry-1), func() {
-			if !c.Done && c.state == clFinWait && !c.finAcked {
-				c.sendFIN()
-			}
-		})
+		c.finTimer = c.after(c.cfg.RTO<<(c.finTry-1), evFINRetransmit)
 	}
 }
 

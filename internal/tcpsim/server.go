@@ -102,16 +102,25 @@ type Server struct {
 // NewServer builds a server endpoint. Call Attach before delivering
 // packets to it.
 func NewServer(sim *netsim.Sim, cfg ServerConfig, rng *rand.Rand) *Server {
-	s := &Server{
-		sim:    sim,
-		cfg:    cfg.withDefaults(),
-		w:      newWire(cfg.Net),
-		parser: packet.NewSummaryParser(),
-		rng:    rng,
-		state:  svListen,
-	}
-	s.isn = randISN(rng)
+	s := &Server{sim: sim, w: newWire(cfg.Net), parser: packet.NewSummaryParser()}
+	s.Reset(cfg, rng)
 	return s
+}
+
+// Reset returns the server to svListen for a new connection on the
+// same (Reset) Sim and attached sender, exactly as NewServer would
+// build it — it draws the ISN from rng at the same point — while
+// keeping its packet arena, parser and buffer storage. RequestData of
+// the previous connection is overwritten: copy it first if needed.
+func (s *Server) Reset(cfg ServerConfig, rng *rand.Rand) {
+	clear(s.ooo)
+	*s = Server{
+		sim: s.sim, send: s.send, w: s.w, parser: s.parser,
+		respQ: s.respQ[:0], ooo: s.ooo, RequestData: s.RequestData[:0],
+		cfg: cfg.withDefaults(), rng: rng,
+	}
+	s.w.reset(cfg.Net)
+	s.isn = randISN(rng)
 }
 
 // Attach sets the transmit function (normally Path.SendFromServer).
@@ -185,11 +194,43 @@ func (s *Server) sendSYNACK() {
 	s.synackTry++
 	s.retransmit.Stop()
 	if s.synackTry <= s.cfg.SYNACKRetries {
-		s.retransmit = s.sim.Schedule(s.cfg.RTO<<(s.synackTry-1), func() {
-			if s.state == svSynReceived {
-				s.sendSYNACK()
-			}
-		})
+		s.retransmit = s.after(s.cfg.RTO<<(s.synackTry-1), evSYNACKRetransmit)
+	}
+}
+
+// serverEvent names a server timer body; see clientEvent.
+type serverEvent int
+
+const (
+	evSYNACKRetransmit serverEvent = iota
+	evRespond
+	evRespRTO
+)
+
+func (s *Server) after(d time.Duration, ev serverEvent) netsim.Timer {
+	return s.sim.ScheduleEvent(d, s, int(ev), nil)
+}
+
+// Fire implements simtime.Handler: timer ev expired.
+func (s *Server) Fire(ev int, _ []byte) {
+	switch serverEvent(ev) {
+	case evSYNACKRetransmit:
+		if s.state == svSynReceived {
+			s.sendSYNACK()
+		}
+	case evRespond:
+		s.respond()
+	case evRespRTO:
+		if s.state != svEstablished || len(s.respQ) == 0 {
+			return
+		}
+		if s.respTry > s.cfg.ResponseRetries {
+			s.respQ = s.respQ[:0]
+			return
+		}
+		s.retransmitResponseHead()
+		s.respTry++
+		s.armRespRTO()
 	}
 }
 
@@ -209,7 +250,7 @@ func (s *Server) handleSegment(p packet.Summary) {
 			s.sndNxt++
 		}
 		s.respTimer.Stop()
-		s.respQ = nil
+		s.respQ = s.respQ[:0]
 		s.state = svClosed
 	}
 }
@@ -223,7 +264,9 @@ func (s *Server) handleACK(p packet.Summary) {
 		if !seqGE(p.Ack, head.seq+uint32(len(head.payload))) {
 			break
 		}
-		s.respQ = s.respQ[1:]
+		// Shift rather than reslice: the queue's storage is reused
+		// across connections and must keep its capacity.
+		s.respQ = s.respQ[:copy(s.respQ, s.respQ[1:])]
 		progressed = true
 	}
 	if progressed {
@@ -277,7 +320,7 @@ func (s *Server) handleData(p packet.Summary) {
 	// Respond only when the request actually advanced: retransmitted or
 	// duplicated request data must not elicit a second response burst.
 	if advanced {
-		s.sim.Schedule(s.cfg.ResponseDelay, func() { s.respond() })
+		s.after(s.cfg.ResponseDelay, evRespond)
 	}
 }
 
@@ -315,18 +358,7 @@ func (s *Server) retransmitResponseHead() {
 // untampered.
 func (s *Server) armRespRTO() {
 	s.respTimer.Stop()
-	s.respTimer = s.sim.Schedule(s.cfg.RTO<<(s.respTry-1), func() {
-		if s.state != svEstablished || len(s.respQ) == 0 {
-			return
-		}
-		if s.respTry > s.cfg.ResponseRetries {
-			s.respQ = nil
-			return
-		}
-		s.retransmitResponseHead()
-		s.respTry++
-		s.armRespRTO()
-	})
+	s.respTimer = s.after(s.cfg.RTO<<(s.respTry-1), evRespRTO)
 }
 
 // respondRST answers a segment for a dead connection, mirroring RFC 793
@@ -354,8 +386,20 @@ type respSeg struct {
 	payload []byte
 }
 
-// responseBody builds a deterministic response payload of n bytes.
+// responsePattern is the deterministic response payload: every
+// response segment is a prefix of it, shared read-only (build copies
+// it into the packet, respQ only points at it).
+var responsePattern = makeResponseBody(1460)
+
+// responseBody returns the deterministic response payload of n bytes.
 func responseBody(n int) []byte {
+	if n <= len(responsePattern) {
+		return responsePattern[:n:n]
+	}
+	return makeResponseBody(n)
+}
+
+func makeResponseBody(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
 		b[i] = byte('A' + i%26)

@@ -55,26 +55,40 @@ type NetProfile struct {
 // IsV6 reports whether the endpoint speaks IPv6.
 func (n *NetProfile) IsV6() bool { return n.LocalIP.Is6() && !n.LocalIP.Is4In6() }
 
-// wire builds serialized packets for one endpoint of a connection.
-// Serialization goes through the packet package's pooled buffers, so
-// the steady-state per-packet cost is one exact-size allocation (the
-// bytes handed to the path) and nothing else.
+// wire builds serialized packets for one endpoint of a connection,
+// into an arena the endpoint owns: building a packet allocates
+// nothing, and the bytes stay valid until the endpoint is Reset for
+// its next connection — which is the ownership rule netsim documents
+// (valid until the connection's simulation ends).
 type wire struct {
-	prof   NetProfile
-	ipid   uint16
-	ip4    packet.IPv4
-	ip6    packet.IPv6
-	tcp    packet.TCP
-	serial packet.SerializeOptions
+	prof    NetProfile
+	ipid    uint16
+	ip4     packet.IPv4
+	ip6     packet.IPv6
+	tcp     packet.TCP
+	payload packet.Payload
+	arena   *packet.Arena
 }
 
+// wireArenaSize holds one endpoint's packets for all but the most
+// retransmission-heavy impaired connections (a clean exchange is
+// ≈ 3 KiB per side); the overflow is built on the heap.
+const wireArenaSize = 16 << 10
+
+var wireSerial = packet.SerializeOptions{FixLengths: true, ComputeChecksums: true}
+
 func newWire(prof NetProfile) *wire {
-	w := &wire{
-		prof:   prof,
-		serial: packet.SerializeOptions{FixLengths: true, ComputeChecksums: true},
-	}
-	w.ipid = prof.IPIDValue
+	w := &wire{arena: packet.NewArena(wireArenaSize)}
+	w.reset(prof)
 	return w
+}
+
+// reset points the wire at a new connection's profile and reclaims the
+// previous connection's packet bytes.
+func (w *wire) reset(prof NetProfile) {
+	w.arena.Reset()
+	w.prof = prof
+	w.ipid = prof.IPIDValue
 }
 
 func (w *wire) nextIPID() uint16 {
@@ -100,8 +114,8 @@ var synOptions = []packet.TCPOption{
 }
 
 // build serializes one segment from this endpoint with the given TCP
-// fields and payload. The result is a fresh slice safe to hand to the
-// path.
+// fields and payload. The result is a distinct slice, safe to hand to
+// the path (which decrements its TTL in place).
 func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, withOpts bool) []byte {
 	w.tcp = packet.TCP{
 		SrcPort: w.prof.LocalPort,
@@ -114,6 +128,7 @@ func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, wit
 	if withOpts && w.prof.SYNOptions {
 		w.tcp.Options = synOptions
 	}
+	w.payload = payload
 	var out []byte
 	var err error
 	if w.prof.IsV6() {
@@ -124,7 +139,7 @@ func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, wit
 			DstIP:      w.prof.RemoteIP,
 		}
 		w.tcp.SetNetworkLayerForChecksum(&w.ip6)
-		out, err = packet.AppendLayers(nil, w.serial, &w.ip6, &w.tcp, packet.Payload(payload))
+		out, err = w.arena.Serialize(wireSerial, &w.ip6, &w.tcp, &w.payload)
 	} else {
 		w.ip4 = packet.IPv4{
 			TTL:      w.prof.InitialTTL,
@@ -135,7 +150,7 @@ func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, wit
 			DstIP:    w.prof.RemoteIP,
 		}
 		w.tcp.SetNetworkLayerForChecksum(&w.ip4)
-		out, err = packet.AppendLayers(nil, w.serial, &w.ip4, &w.tcp, packet.Payload(payload))
+		out, err = w.arena.Serialize(wireSerial, &w.ip4, &w.tcp, &w.payload)
 	}
 	if err != nil {
 		// The layers are fully under our control; a serialize error is

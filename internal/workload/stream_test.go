@@ -145,3 +145,72 @@ func TestStreamBoundedReadAhead(t *testing.T) {
 		t.Fatal("stream yielded nothing")
 	}
 }
+
+// TestStreamRingBound pins the read-ahead bound itself: with nobody
+// consuming, workers claim exactly as many chunks as the ring has
+// slots (2×workers) and park; every chunk the consumer takes frees
+// room for exactly one more.
+func TestStreamRingBound(t *testing.T) {
+	s, err := BuildScenario("stream-ring", 1200, 24, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	sr := s.Stream(workers)
+	defer sr.Close()
+	settle := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for sr.claimed.Load() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // an unbounded producer would run on
+		if got := sr.claimed.Load(); got != want {
+			t.Fatalf("stalled stream has claimed %d chunks, want %d", got, want)
+		}
+	}
+	settle(2 * workers)
+	if _, ok := sr.nextChunk(); !ok {
+		t.Fatal("no first chunk")
+	}
+	settle(2*workers + 1)
+}
+
+// TestStreamCloseYieldsPrefix: after an early Close, what Next still
+// returns continues Run's sequence without a gap or reordering — the
+// chunks claimed before the Close, all of them, in spec order.
+func TestStreamCloseYieldsPrefix(t *testing.T) {
+	s, err := BuildScenario("stream-prefix", 1500, 24, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Run(1)
+	sr := s.Stream(3)
+	n := 0
+	next := func() bool {
+		c, err := sr.Next()
+		if err == io.EOF {
+			return false
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n >= len(want) || c.SrcIP != want[n].SrcIP || c.SrcPort != want[n].SrcPort {
+			t.Fatalf("record %d after Close is not Run's record %d", n, n)
+		}
+		n++
+		return true
+	}
+	for i := 0; i < 40; i++ {
+		next()
+	}
+	sr.Close()
+	for next() {
+	}
+	if n < 40 || n >= len(want) {
+		t.Errorf("stream yielded %d of %d records around an early Close", n, len(want))
+	}
+	if _, err := sr.Next(); err != io.EOF {
+		t.Errorf("Next after EOF = %v, want io.EOF again", err)
+	}
+}

@@ -16,8 +16,6 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"net/netip"
-	"runtime"
-	"sync"
 	"time"
 
 	"tamperdetect/internal/capture"
@@ -569,44 +567,20 @@ func (s *Scenario) Run(workers int) []*capture.Connection {
 	return compact
 }
 
-// runSpecsChunk bounds the work-distribution granularity of RunSpecs:
-// workers claim contiguous ranges of this many specs, amortising the
-// channel synchronisation without skewing load balance (a chunk is
-// milliseconds of simulation).
-const runSpecsChunk = 64
-
 // RunSpecs simulates a prepared spec list. The result is positional:
 // element i belongs to specs[i] and is nil when the sampler did not
-// select that connection. Simulation order never affects the output —
-// each spec carries its own seed — so chunked distribution is safe.
+// select that connection. It is StreamSpecs collected: simulation
+// order never affects the output, each spec carries its own seed.
 func (s *Scenario) RunSpecs(specs []ConnSpec, workers int) []*capture.Connection {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]*capture.Connection, len(specs))
-	var wg sync.WaitGroup
-	ch := make(chan [2]int, 256)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range ch {
-				for i := r[0]; i < r[1]; i++ {
-					out[i] = SimulateConn(&specs[i], s.Universe, s.CaptureConfig, s.Impairments)
-				}
-			}
-		}()
-	}
-	for i := 0; i < len(specs); i += runSpecsChunk {
-		end := i + runSpecsChunk
-		if end > len(specs) {
-			end = len(specs)
+	out := make([]*capture.Connection, 0, len(specs))
+	sr := s.StreamSpecs(specs, workers)
+	for {
+		chunk, ok := sr.nextChunk()
+		if !ok {
+			return out
 		}
-		ch <- [2]int{i, end}
+		out = append(out, chunk...)
 	}
-	close(ch)
-	wg.Wait()
-	return out
 }
 
 // SimulateConn runs one connection through the full stack and returns
@@ -616,8 +590,13 @@ func (s *Scenario) RunSpecs(specs []ConnSpec, workers int) []*capture.Connection
 // completes, and the capture tap verifies checksums (corrupted packets
 // behave as loss, never as records).
 func SimulateConn(spec *ConnSpec, u *domains.Universe, capCfg capture.Config, imp faults.Config) *capture.Connection {
-	rng := rand.New(rand.NewPCG(spec.Seed, spec.Seed^0xabcdef))
-	sim := netsim.NewSim(spec.Start)
+	x := simPool.Get().(*simCtx)
+	defer simPool.Put(x)
+	return x.simulateConn(spec, u, capCfg, imp)
+}
+
+func (x *simCtx) simulateConn(spec *ConnSpec, u *domains.Universe, capCfg capture.Config, imp faults.Config) *capture.Connection {
+	rng := x.begin(spec)
 
 	clientIP := spec.AS.RandomAddr(rng, spec.V6)
 	if spec.HostIdx >= 0 {
@@ -678,48 +657,27 @@ func SimulateConn(spec *ConnSpec, u *domains.Universe, capCfg capture.Config, im
 		}
 	}
 
-	cli := tcpsim.NewClient(sim, ccfg, rng)
-	srv := tcpsim.NewServer(sim, tcpsim.ServerConfig{Net: sprof}, rng)
+	x.cli.Reset(ccfg, rng)
+	x.srv.Reset(tcpsim.ServerConfig{Net: sprof}, rng)
 
-	var mbs []netsim.Middlebox
+	mbs := x.mbs[:0]
 	if pols := policiesFor(spec, u); len(pols) > 0 {
-		mbs = append(mbs, middlebox.NewEngine(pols, rng, sim.Now))
+		mbs = append(mbs, middlebox.NewEngine(pols, rng, x.now))
 	}
-	segs := make([]netsim.Segment, len(mbs)+1)
-	for i := range segs {
-		segs[i] = netsim.Segment{
-			Delay: time.Duration(5+rng.IntN(40)) * time.Millisecond,
-			Hops:  uint8(3 + rng.IntN(7)),
-		}
-	}
-	pathCfg := netsim.PathConfig{Segments: segs, Middleboxes: mbs}
+	pathCfg := netsim.PathConfig{Segments: x.segments(len(mbs)), Middleboxes: mbs}
 	if imp.Enabled() {
 		// Per-connection impairment chain, deterministically seeded from
 		// the spec and the grade so sweeps across grades decorrelate.
 		iseed := spec.Seed ^ 0xfa0175
 		pathCfg.Hook = faults.NewChain(imp, rand.New(rand.NewPCG(iseed, iseed^splitmixStr(imp.Grade)))).Hook
 	}
-	path := netsim.NewPath(sim, pathCfg, cli, srv)
 
 	if capCfg.Rate == 0 {
 		capCfg = capture.DefaultConfig()
 	}
-	if capCfg.ShuffleWithinSecond == nil {
-		capCfg.ShuffleWithinSecond = rand.New(rand.NewPCG(spec.Seed^0x5417, spec.Seed))
-	}
 	// The deployment's tap never surfaces checksum-broken packets.
 	capCfg.VerifyChecksums = true
-	sampler := capture.NewSampler(capCfg)
-	path.Tap = sampler.Inbound
-	cli.Attach(path.SendFromClient)
-	srv.Attach(path.SendFromServer)
-	cli.Start()
-	sim.Run(500000)
-	conns := sampler.Drain(sim.Now().Add(45 * time.Second))
-	if len(conns) == 0 {
-		return nil
-	}
-	return conns[0]
+	return x.run(spec, pathCfg, capCfg)
 }
 
 // requestSegments builds the client's data script.
@@ -780,8 +738,13 @@ func SimulateEvasive(spec *ConnSpec, u *domains.Universe) *capture.Connection {
 
 // simulateWith is SimulateConn with an explicit middlebox chain.
 func simulateWith(spec *ConnSpec, mb netsim.Middlebox) *capture.Connection {
-	rng := rand.New(rand.NewPCG(spec.Seed, spec.Seed^0xabcdef))
-	sim := netsim.NewSim(spec.Start)
+	x := simPool.Get().(*simCtx)
+	defer simPool.Put(x)
+	return x.simulateWith(spec, mb)
+}
+
+func (x *simCtx) simulateWith(spec *ConnSpec, mb netsim.Middlebox) *capture.Connection {
+	rng := x.begin(spec)
 	clientIP := spec.AS.RandomAddr(rng, spec.V6)
 	serverIP := serverIP4
 	if spec.V6 {
@@ -808,26 +771,9 @@ func simulateWith(spec *ConnSpec, mb netsim.Middlebox) *capture.Connection {
 	if spec.Domain != nil {
 		ccfg.Segments = requestSegments(spec, rng)
 	}
-	cli := tcpsim.NewClient(sim, ccfg, rng)
-	srv := tcpsim.NewServer(sim, tcpsim.ServerConfig{Net: sprof}, rng)
-	path := netsim.NewPath(sim, netsim.PathConfig{
-		Segments: []netsim.Segment{
-			{Delay: time.Duration(5+rng.IntN(40)) * time.Millisecond, Hops: uint8(3 + rng.IntN(7))},
-			{Delay: time.Duration(5+rng.IntN(40)) * time.Millisecond, Hops: uint8(3 + rng.IntN(7))},
-		},
-		Middleboxes: []netsim.Middlebox{mb},
-	}, cli, srv)
-	capCfg := capture.DefaultConfig()
-	capCfg.ShuffleWithinSecond = rand.New(rand.NewPCG(spec.Seed^0x5417, spec.Seed))
-	sampler := capture.NewSampler(capCfg)
-	path.Tap = sampler.Inbound
-	cli.Attach(path.SendFromClient)
-	srv.Attach(path.SendFromServer)
-	cli.Start()
-	sim.Run(500000)
-	conns := sampler.Drain(sim.Now().Add(45 * time.Second))
-	if len(conns) == 0 {
-		return nil
-	}
-	return conns[0]
+	x.cli.Reset(ccfg, rng)
+	x.srv.Reset(tcpsim.ServerConfig{Net: sprof}, rng)
+	x.mbs[0] = mb
+	pathCfg := netsim.PathConfig{Segments: x.segments(1), Middleboxes: x.mbs[:1]}
+	return x.run(spec, pathCfg, capture.DefaultConfig())
 }

@@ -1,12 +1,20 @@
 #!/bin/sh
-# Tier-2 verification: static vetting, the full test suite under the
-# race detector (the pipeline's concurrency tests are written to be
-# meaningful only under -race), the robustness false-positive gate at
-# its full 10k-connection scale, and a fuzz smoke pass. Run from the
-# repo root:
+# Tier-2 verification: gofmt cleanliness, static vetting, the full test
+# suite under the race detector (the pipeline's concurrency tests are
+# written to be meaningful only under -race), the robustness
+# false-positive gate at its full 10k-connection scale, and a fuzz
+# smoke pass. Run from the repo root:
 #
 #	./scripts/check.sh
 set -eu
+
+echo "== gofmt -l . =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./... =="
 go vet ./...

@@ -21,6 +21,7 @@ targets="
 ./internal/pcap:FuzzReader
 ./internal/packet:FuzzSummaryParse
 ./internal/packet:FuzzDecrementTTL
+./internal/packet:FuzzOnesSum
 ./internal/tlswire:FuzzParseSNI
 ./internal/tlswire:FuzzBuildParse
 ./internal/httpwire:FuzzParseRequest
