@@ -4,7 +4,7 @@
 # PR touching concurrent code. fuzz-smoke gives every Fuzz target a
 # short (~10s) mutation budget on top of its seeded corpus.
 
-.PHONY: tier1 tier2 check fuzz-smoke bench bench-all
+.PHONY: tier1 tier2 check fuzz-smoke bench-all
 
 tier1:
 	go build ./... && go test ./...
@@ -17,13 +17,8 @@ fuzz-smoke:
 
 check: tier1 tier2
 
-# bench records the streaming-pipeline perf trajectory: median of
-# BENCH_COUNT runs of BenchmarkStreamPipeline, written to
-# BENCH_pipeline.json (schema in EXPERIMENTS.md).
-bench:
-	./scripts/bench.sh
-
-# bench-all runs every benchmark in the repo (paper tables, ablations,
-# codec) without JSON aggregation.
+# bench-all runs every go-test benchmark in the repo (paper tables,
+# ablations, codec). The recorded performance evidence is the repo
+# benchmark: bash benchmark/run.sh (see benchmark/README.md).
 bench-all:
 	go test -run=NONE -bench=. -benchmem ./...

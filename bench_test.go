@@ -12,9 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math/rand/v2"
-	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,10 +21,8 @@ import (
 	"tamperdetect/internal/capture"
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/domains"
-	"tamperdetect/internal/geo"
 	"tamperdetect/internal/pipeline"
 	"tamperdetect/internal/testlists"
-	"tamperdetect/internal/trace"
 	"tamperdetect/internal/workload"
 )
 
@@ -433,327 +429,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPipeline is the recorded perf-trajectory benchmark:
-// the full streaming path (TDCAP decode, batched classifier workers,
-// counting sink) across the workers × batch grid that
-// scripts/bench.sh aggregates into BENCH_pipeline.json. Each
-// connection record in the capture is one "record"; the custom
-// metrics (conns/sec, ns/record, B/record, allocs/record) are the
-// units EXPERIMENTS.md's Performance section tracks across PRs.
-func BenchmarkStreamPipeline(b *testing.B) {
-	conns, _, _ := benchData(b)
-	var buf bytes.Buffer
-	w := capture.NewWriter(&buf)
-	for _, c := range conns {
-		if err := w.Write(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, workers := range []int{1, 4, 16} {
-		for _, batch := range []int{1, 64} {
-			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				b.ReportAllocs()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				classified := int64(0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					counts, err := pipeline.Stream(context.Background(),
-						bytes.NewReader(data),
-						pipeline.Config{Workers: workers, BatchSize: batch}, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if counts.Classified != int64(len(conns)) {
-						b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-					}
-					classified += counts.Classified
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				records := float64(classified)
-				b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
-			})
-		}
-	}
-}
-
-// BenchmarkDecodeParallel measures the decode-parallel front end
-// against the sequential one: path=scan is the scanner + decode-in-
-// worker pipeline (Stream's default), path=seq is the single-goroutine
-// decode source (Config.SequentialDecode). Both run the identical
-// decode+classify+count work over the identical capture bytes at
-// workers 1, 4, and 16, batch 64. scripts/bench.sh aggregates the grid
-// into BENCH_pipeline.json's decode_parallel section, and the scaling
-// gate (TestDecodeParallelScalingGate via scripts/check.sh) enforces
-// workers=16 >= 2x workers=1 on path=scan wherever the hardware has
-// the cores to show it.
-func BenchmarkDecodeParallel(b *testing.B) {
-	conns, _, _ := benchData(b)
-	var buf bytes.Buffer
-	w := capture.NewWriter(&buf)
-	for _, c := range conns {
-		if err := w.Write(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, path := range []struct {
-		name string
-		seq  bool
-	}{{"scan", false}, {"seq", true}} {
-		for _, workers := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("path=%s/workers=%d", path.name, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				b.ReportAllocs()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				classified := int64(0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					counts, err := pipeline.Stream(context.Background(),
-						bytes.NewReader(data),
-						pipeline.Config{Workers: workers, BatchSize: 64, SequentialDecode: path.seq}, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if counts.Classified != int64(len(conns)) {
-						b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-					}
-					classified += counts.Classified
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				records := float64(classified)
-				b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
-			})
-		}
-	}
-}
-
-// BenchmarkShardedIngest measures the sharded multi-reader ingest
-// against the single-scanner stream over the identical indexed capture
-// bytes: path=scan is pipeline.Stream at 1 worker (the serial-scanner
-// baseline every shard cell is normalized against), path=sharded runs
-// pipeline.ShardedScan over a SegmentedSource at shards {1,2,4,8} with
-// the worker pool sized to the shard count, so each cell isolates what
-// adding independent scanners buys. scripts/bench.sh aggregates the
-// grid into BENCH_pipeline.json's sharded_ingest section; the scaling
-// gate (TestShardedIngestScalingGate via scripts/check.sh) enforces
-// shards=8 >= 2x shards=1 wherever the hardware has the cores, and the
-// 1-core contract — shards=1 within 5% of path=scan, no tax for the
-// segment indirection — is checked from the recorded cells.
-func BenchmarkShardedIngest(b *testing.B) {
-	conns, _, _ := benchData(b)
-	var buf bytes.Buffer
-	w := capture.NewWriter(&buf)
-	if err := w.EnableIndex(256); err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range conns {
-		if err := w.Write(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	idx, err := capture.FindIndex(bytes.NewReader(data), int64(len(data)), "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	report := func(b *testing.B, classified int64, before, after *runtime.MemStats) {
-		records := float64(classified)
-		b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
-	}
-	b.Run("path=scan/workers=1", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		classified := int64(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			counts, err := pipeline.Stream(context.Background(),
-				bytes.NewReader(data),
-				pipeline.Config{Workers: 1, BatchSize: 64}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if counts.Classified != int64(len(conns)) {
-				b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-			}
-			classified += counts.Classified
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&after)
-		report(b, classified, &before, &after)
-	})
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("path=sharded/shards=%d", shards), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			classified := int64(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src, err := capture.NewSegmentedSource(bytes.NewReader(data), int64(len(data)), idx, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				counts, err := pipeline.ShardedScan(context.Background(), src,
-					pipeline.Config{Workers: shards, BatchSize: 64}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if counts.Classified != int64(len(conns)) {
-					b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-				}
-				classified += counts.Classified
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			report(b, classified, &before, &after)
-		})
-	}
-}
-
-// BenchmarkStreamTelemetryOverhead measures what the telemetry
-// subsystem costs on the streaming hot path: the identical Stream run
-// with telemetry off versus attached (stage histograms, queue gauges,
-// per-signature sharded counters, records_total instruments). The
-// contract tracked in EXPERIMENTS.md is ≤5% throughput loss and 0
-// extra allocs/record; scripts/bench.sh records both rows in
-// BENCH_pipeline.json as stream_telemetry_overhead.
-func BenchmarkStreamTelemetryOverhead(b *testing.B) {
-	conns, _, _ := benchData(b)
-	var buf bytes.Buffer
-	w := capture.NewWriter(&buf)
-	for _, c := range conns {
-		if err := w.Write(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	const workers = 4
-	tel := pipeline.NewTelemetry(nil)
-	for _, mode := range []struct {
-		name string
-		tel  *pipeline.Telemetry
-	}{{"telemetry=off", nil}, {"telemetry=on", tel}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			classified := int64(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// A fresh Metrics per run: the shared Telemetry's own
-				// counter block accumulates across runs by design, so the
-				// per-run count must come from an explicit block (both
-				// modes get one, keeping the comparison symmetric).
-				var m pipeline.Metrics
-				counts, err := pipeline.Stream(context.Background(),
-					bytes.NewReader(data),
-					pipeline.Config{Workers: workers, Telemetry: mode.tel, Metrics: &m}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if counts.Classified != int64(len(conns)) {
-					b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-				}
-				classified += counts.Classified
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			records := float64(classified)
-			b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
-		})
-	}
-}
-
-// BenchmarkStreamTraceOverhead measures what the tracing subsystem
-// costs on the streaming hot path: the identical Stream run with no
-// tracer versus a tracer attached with per-record sampling off — the
-// production default, where only per-batch stage spans are emitted
-// into the lock-free rings. The contract tracked in EXPERIMENTS.md is
-// ≤5% throughput loss and ~0 extra allocs/record; scripts/bench.sh
-// records both rows in BENCH_pipeline.json as stream_trace_overhead.
-func BenchmarkStreamTraceOverhead(b *testing.B) {
-	conns, _, _ := benchData(b)
-	var buf bytes.Buffer
-	w := capture.NewWriter(&buf)
-	for _, c := range conns {
-		if err := w.Write(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	const workers = 4
-	tracer := trace.New(trace.Config{TraceID: 0xbe7c, SampleEvery: 0})
-	for _, mode := range []struct {
-		name   string
-		tracer *trace.Tracer
-	}{{"trace=off", nil}, {"trace=on", tracer}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			classified := int64(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				counts, err := pipeline.Stream(context.Background(),
-					bytes.NewReader(data),
-					pipeline.Config{Workers: workers, Tracer: mode.tracer}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if counts.Classified != int64(len(conns)) {
-					b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-				}
-				classified += counts.Classified
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			records := float64(classified)
-			b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
-		})
-	}
-}
-
 // BenchmarkCaptureCodec times the TDCAP encode+decode round trip.
 func BenchmarkCaptureCodec(b *testing.B) {
 	conns, _, _ := benchData(b)
@@ -799,87 +474,4 @@ func BenchmarkClassifierDispatch(b *testing.B) {
 			_ = core.MatchRuleTable(stages[i%len(stages)], t)
 		}
 	})
-}
-
-// BenchmarkGeoLookup measures the per-record source-address resolution
-// with and without the per-worker range cache the streaming
-// aggregators use (internal/geo.Cache): mode=uncached binary-searches
-// the plan on every lookup; mode=cached memoizes matched ranges in a
-// direct-mapped table keyed by address prefix. The address stream is
-// the scenario's own client mix, so cache behaviour reflects real
-// workload locality. scripts/bench.sh records the cached/uncached
-// delta in BENCH_pipeline.json.
-func BenchmarkGeoLookup(b *testing.B) {
-	conns, _, s := benchData(b)
-	addrs := make([]netip.Addr, 4096)
-	for i := range addrs {
-		addrs[i] = conns[i%len(conns)].SrcIP
-	}
-	b.Run("mode=uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Geo.Lookup(addrs[i%len(addrs)])
-		}
-	})
-	b.Run("mode=cached", func(b *testing.B) {
-		cache := geo.NewCache(s.Geo)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = cache.Lookup(addrs[i%len(addrs)])
-		}
-	})
-}
-
-// BenchmarkLongitudinalGen times the virtual-time generator end to
-// end — arrival-process expansion plus packet-level simulation plus
-// TDCAP encoding — over long scenario windows. This is the recorded
-// proof of the event-queue refactor's headline property: wall-clock
-// cost scales with the connection count, not the virtual window, so a
-// 14-day scenario generates in seconds. scripts/bench.sh aggregates
-// the grid into BENCH_pipeline.json's longitudinal_gen section, whose
-// validator enforces the paper-scale contract (a 336-hour window must
-// sustain enough virtual-hours/sec to finish a 14-day run in under a
-// minute).
-func BenchmarkLongitudinalGen(b *testing.B) {
-	for _, hours := range []int{48, 336} {
-		total := hours * 50
-		b.Run(fmt.Sprintf("preset=iran2022/hours=%d", hours), func(b *testing.B) {
-			b.ReportAllocs()
-			written := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := workload.PresetScenario("iran2022", total, hours, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src := s.StreamSpecs(s.SpecsSharded(0), 0)
-				w := capture.NewWriter(io.Discard)
-				for {
-					c, err := src.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := w.Write(c); err != nil {
-						b.Fatal(err)
-					}
-					written++
-				}
-				src.Close()
-				if err := w.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if written == 0 {
-				b.Fatal("generator produced no connections")
-			}
-			secs := b.Elapsed().Seconds()
-			b.ReportMetric(float64(written)/secs, "conns/sec")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(written), "ns/record")
-			b.ReportMetric(float64(hours*b.N)/secs, "virtual-hours/sec")
-		})
-	}
 }

@@ -18,16 +18,15 @@
 // Usage:
 //
 //	tamperscan [-v] [-tampered-only] [-workers N] [-shards N]
-//	           [-classifier dfa|legacy] [-seq-decode]
+//	           [-classifier dfa|legacy]
 //	           [-metrics-addr host:port] [-progress interval]
 //	           capture.{tdcap,pcap}
 //
 // TDCAP input streams through the parallel decode pipeline: a scanner
 // goroutine finds record boundaries and the worker pool decodes and
-// classifies (-seq-decode restores single-goroutine decoding). The
-// classifier is the compiled signature DFA by default; -classifier
-// legacy selects the multi-pass reference matcher it is differentially
-// tested against.
+// classifies. The classifier is the compiled signature DFA by default;
+// -classifier legacy selects the multi-pass reference matcher it is
+// differentially tested against.
 //
 // When the capture is a seekable file with a segment index — a footer
 // written by trafficgen, or a .tdx sidecar from tdcapindex — the scan
@@ -123,7 +122,6 @@ type options struct {
 	metricsAddr  string        // "" = no metrics server
 	progress     time.Duration // 0 = no progress lines
 	classifier   string        // "dfa" (default) or "legacy"
-	seqDecode    bool          // force the single-goroutine decode path
 	pushURL      string        // "" = no fleet push
 	pop          string        // PoP name for pushed snapshots
 	pushInterval time.Duration // 0 = single epoch at scan end
@@ -159,7 +157,6 @@ func main() {
 	flag.StringVar(&opts.metricsAddr, "metrics-addr", "", "serve /metrics, /healthz, /debug/pprof on this host:port for the scan's duration")
 	flag.DurationVar(&opts.progress, "progress", 0, "print a one-line pipeline snapshot to stderr on this interval (e.g. 2s; 0 = off)")
 	flag.StringVar(&opts.classifier, "classifier", "dfa", "signature matcher: dfa (compiled automaton) or legacy (multi-pass oracle)")
-	flag.BoolVar(&opts.seqDecode, "seq-decode", false, "decode TDCAP records on a single goroutine instead of in the worker pool")
 	flag.StringVar(&opts.pushURL, "push", "", "push per-epoch fleet snapshots to this popmerge base URL")
 	flag.StringVar(&opts.pop, "pop", "", "PoP name stamped on pushed snapshots (default: hostname)")
 	flag.DurationVar(&opts.pushInterval, "push-interval", 0, "push a delta snapshot on this interval (0 = one snapshot at scan end)")
@@ -169,7 +166,7 @@ func main() {
 	flag.IntVar(&opts.traceSample, "trace-sample", trace.DefaultSampleEvery, "emit per-record spans for every Nth record (0 = batch spans only)")
 	flag.StringVar(&opts.flightOut, "flight-out", "", "also write flight-recorder dumps to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `usage: tamperscan [-v] [-tampered-only] [-workers N] [-shards N] [-classifier dfa|legacy] [-seq-decode] [-metrics-addr host:port] [-progress interval]
+		fmt.Fprintf(os.Stderr, `usage: tamperscan [-v] [-tampered-only] [-workers N] [-shards N] [-classifier dfa|legacy] [-metrics-addr host:port] [-progress interval]
                   [-log-format text|json] [-trace-profile file] [-trace-sample N] [-flight-out file]
                   [-cpuprofile file] [-memprofile file] [-blockprofile file] [-mutexprofile file]
                   [-push URL [-pop name] [-push-interval D] [-push-spill dir]] capture.{tdcap,pcap}
@@ -356,10 +353,11 @@ func run(path string, opts options) error {
 		return fmt.Errorf("-shards %d: want >= 0", opts.shards)
 	}
 	// The flight recorder, correlation ID, and tracer always exist:
-	// batch-level span emission is allocation-free (pinned by the
-	// stream_trace_overhead gate), and a crash dump must be available
-	// even on runs that never asked for tracing. The run ID doubles as
-	// the root trace ID, so log lines and spans join on one key.
+	// batch-level span emission is allocation-free (pinned by
+	// pipeline's TestTraceHotPathAllocationFree), and a crash dump must
+	// be available even on runs that never asked for tracing. The run
+	// ID doubles as the root trace ID, so log lines and spans join on
+	// one key.
 	fl := trace.NewFlight(trace.DefaultFlightEvents)
 	runID := logx.NewRunID()
 	log, err := logx.New(os.Stderr, opts.logFormat, runID, fl)
@@ -484,8 +482,7 @@ func run(path string, opts options) error {
 		cfg := pipeline.Config{
 			Workers: w, Ordered: true, Observe: observe,
 			Metrics: &m, Telemetry: tel, Tracer: tracer,
-			Classifier:       core.NewClassifier(coreCfg),
-			SequentialDecode: opts.seqDecode,
+			Classifier: core.NewClassifier(coreCfg),
 		}
 		var runErr error
 		switch {
@@ -509,8 +506,10 @@ func run(path string, opts options) error {
 		// cancellation is discarded and rerun single-threaded (see the
 		// caller), so its partial epoch must not be pushed.
 		willRescan := seg != nil && runErr != nil && ctx.Err() == nil
-		if fp != nil && !willRescan {
-			if err := fp.finish(); err != nil {
+		if fp != nil {
+			if willRescan {
+				fp.discard()
+			} else if err := fp.finish(); err != nil {
 				log.Warn("fleet push incomplete", "err", err)
 			}
 		}

@@ -86,6 +86,9 @@ func newFleetPush(opts options, m *pipeline.Metrics, tracer *trace.Tracer, log *
 		interval: opts.pushInterval,
 		agg:      analysis.NewFleetAggs(),
 		geo:      geo.NewCache(nil),
+		// m outlives this scan attempt (a discarded sharded attempt and
+		// its rescan share it), so frames carry only what moves from here.
+		prev: m.Snapshot(),
 	}
 	if opts.pushSpill != "" {
 		n, err := p.Resume()
@@ -199,10 +202,7 @@ func (fp *fleetPush) pushEpoch(final bool) error {
 // delivery stats. It returns an error only when frames were lost —
 // failed outright with nowhere to spill.
 func (fp *fleetPush) finish() error {
-	if fp.stopTick != nil {
-		close(fp.stopTick)
-		<-fp.tickDone
-	}
+	fp.stopTicker()
 	pushErr := fp.pushEpoch(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -222,4 +222,22 @@ func (fp *fleetPush) finish() error {
 		return fmt.Errorf("%d frame(s) undeliverable and not spilled (set -push-spill to survive merger outages)", st.Failed)
 	}
 	return nil
+}
+
+// discard tears down the push side of a scan attempt whose results are
+// being thrown away (a sharded attempt about to be rescanned): the
+// ticker and the pusher's worker stop, and the open epoch is dropped
+// unpushed.
+func (fp *fleetPush) discard() {
+	fp.stopTicker()
+	fp.pusher.Close()
+}
+
+// stopTicker stops the periodic epoch ticker, if one runs, and waits
+// for it to exit.
+func (fp *fleetPush) stopTicker() {
+	if fp.stopTick != nil {
+		close(fp.stopTick)
+		<-fp.tickDone
+	}
 }

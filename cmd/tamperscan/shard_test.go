@@ -12,8 +12,10 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tamperdetect"
 	"tamperdetect/internal/capture"
@@ -177,16 +179,12 @@ func TestRunShardedFallsBackOnDamagedSidecar(t *testing.T) {
 	}
 }
 
-// TestRunShardedRescanOnLyingIndex is the strongest fallback contract:
-// a checksum-valid sidecar that undercounts records passes every load
-// check and only betrays itself at a seam mid-run. The sharded results
-// must be discarded and the whole capture rescanned single-threaded —
-// the final report identical to a never-sharded run.
-func TestRunShardedRescanOnLyingIndex(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.tdcap")
-	conns := manyConns(400)
-	if err := tamperdetect.WriteCaptureFile(path, conns); err != nil {
+// writeLyingIndex writes a 400-record capture whose sidecar index is
+// checksum-valid but undercounts by one record, and returns its path.
+func writeLyingIndex(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "x.tdcap")
+	if err := tamperdetect.WriteCaptureFile(path, manyConns(400)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -203,6 +201,16 @@ func TestRunShardedRescanOnLyingIndex(t *testing.T) {
 	if err := os.WriteFile(capture.SidecarPath(path), capture.EncodeSidecar(idx), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestRunShardedRescanOnLyingIndex is the strongest fallback contract:
+// a checksum-valid sidecar that undercounts records passes every load
+// check and only betrays itself at a seam mid-run. The sharded results
+// must be discarded and the whole capture rescanned single-threaded —
+// the final report identical to a never-sharded run.
+func TestRunShardedRescanOnLyingIndex(t *testing.T) {
+	path := writeLyingIndex(t)
 
 	single, _, err := capturedRun(t, path, options{shards: 1, workers: 2})
 	if err != nil {
@@ -219,6 +227,37 @@ func TestRunShardedRescanOnLyingIndex(t *testing.T) {
 	// 399 records the lying index admitted to.
 	if !strings.Contains(stdout, "connections:       400") || stdout != single {
 		t.Errorf("rescan report differs from the single-scanner report:\n--- rescan\n%s--- single\n%s", stdout, single)
+	}
+}
+
+// TestRunShardedRescanPushCounts: the discarded sharded attempt must
+// leave no trace on the fleet side — the one pushed frame carries the
+// rescan's counters only (the attempts share one pipeline.Metrics), and
+// the discarded attempt's pusher and epoch ticker are torn down.
+func TestRunShardedRescanPushCounts(t *testing.T) {
+	path := writeLyingIndex(t)
+	m, srv := testMergerServer(t)
+	_, stderr, err := capturedRun(t, path, options{
+		shards: 4, workers: 2, pushURL: srv.URL, pop: "test01", pushInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("run over lying index: %v", err)
+	}
+	if !strings.Contains(stderr, "rescanning single-threaded") {
+		t.Fatalf("no rescan happened:\n%s", stderr)
+	}
+	if st := m.Stats(); st.Accepted != 1 {
+		t.Errorf("merger accepted %d frames, want 1", st.Accepted)
+	}
+	if c := m.Status().Counts; c.Delivered != 400 || c.Errors != 0 {
+		t.Errorf("merged counts %+v, want Delivered 400 and Errors 0 (the rescan alone)", c)
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for _, fn := range []string{"(*fleetPush).tick", "(*Pusher).loop"} {
+		if strings.Contains(stacks, fn) {
+			t.Errorf("%s goroutine outlived run:\n%s", fn, stacks)
+		}
 	}
 }
 

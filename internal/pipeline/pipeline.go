@@ -1,35 +1,41 @@
 // Package pipeline implements the streaming classification pipeline:
-// a source of connection records fans out across a pool of classifier
-// workers and fans back into a single ordered or unordered sink, with
-// bounded channel depths (backpressure end to end), per-stage
-// counters, context-based cancellation, and a graceful drain on both
-// normal EOF and early shutdown.
+// records fan out across a pool of classifier workers and fan back into
+// a single ordered or unordered sink, with bounded channel depths
+// (backpressure end to end), per-stage counters, context-based
+// cancellation, and a graceful drain on both normal EOF and early
+// shutdown.
 //
 // This is the paper's deployment shape: the detector runs continuously
 // over a sampled stream of connections rather than over batches loaded
 // into memory. Every stage holds O(Workers + Depth + BatchSize)
-// records, so arbitrarily large captures stream in constant memory:
+// records, so arbitrarily large captures stream in constant memory.
 //
-//	source (decode) ──▶ [depth] ──▶ classify ×W ──▶ [depth] ──▶ sink
+// There is one engine (engine.go) and three thin front ends that only
+// say where records come from:
+//
+//	Run(Source)        one front pulling already-decoded records
+//	Stream(io.Reader)  one front scanning TDCAP record boundaries;
+//	                   the workers decode and classify
+//	ShardedScan(src)   one scanning front per index segment, each with
+//	                   its own share of the workers and a seam check
+//
+//	front ×K ──▶ [depth] ──▶ decode+classify ×W ──▶ [depth] ──▶ sink
 //
 // Records move through the inter-stage channels in pooled batches of
 // Config.BatchSize, which amortises channel synchronisation over many
 // records; each worker owns a private classifier instance and scratch
 // arena so the per-record classify cost is allocation-free.
 //
-// A slow sink throttles the workers, which throttle the decoder, which
-// throttles the source. Cancelling the context stops every stage;
-// records already decoded but not delivered are counted as Dropped.
+// A slow sink throttles the workers, which throttle the fronts, which
+// throttle their readers. Cancelling the context stops every stage;
+// records already read but not delivered are counted as Dropped.
 package pipeline
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"time"
 
 	"tamperdetect/internal/capture"
 	"tamperdetect/internal/core"
@@ -73,7 +79,8 @@ type Sink func(Item) error
 
 // Config tunes the pipeline.
 type Config struct {
-	// Workers is the classifier pool size; 0 means GOMAXPROCS.
+	// Workers is the classifier pool size; 0 means GOMAXPROCS. A
+	// sharded run uses at least one worker per segment (ShardWorkers).
 	Workers int
 	// Depth bounds each inter-stage channel, in records; 0 means
 	// DefaultDepth. Together with BatchSize it bounds the records in
@@ -92,13 +99,6 @@ type Config struct {
 	// 2, …). Unordered delivery has lower latency skew under uneven
 	// classify costs; ordered delivery is deterministic.
 	Ordered bool
-	// SequentialDecode makes Stream decode every record on the single
-	// source goroutine (the pre-parallel-decode pipeline) instead of
-	// the default scanner + decode-in-worker path (see ScanTDCAP).
-	// Delivery semantics are identical either way; the sequential path
-	// remains chiefly as a baseline and for diagnosing the parallel
-	// one. Run is unaffected: non-TDCAP sources are always sequential.
-	SequentialDecode bool
 	// Classifier overrides the classifier; nil builds one with
 	// core.DefaultConfig(). A single *core.Classifier is shared by all
 	// workers (it is concurrency-safe).
@@ -134,392 +134,109 @@ type Config struct {
 	// plus per-record spans for head-sampled record indexes
 	// (trace.Config.SampleEvery). Emission is allocation-free; with
 	// per-record sampling off the added cost is a few time.Now calls
-	// per batch, pinned by TestTraceHotPathAllocationFree and the
-	// stream_trace_overhead bench gate.
+	// per batch, pinned by TestTraceHotPathAllocationFree (the ledger
+	// reports the on/off throughput as pipeline.tracer_ratio).
 	Tracer *trace.Tracer
 }
 
 // Run streams records from src through the classifier pool into sink
 // and blocks until the pipeline has fully drained: on return no
-// pipeline goroutine is left running, regardless of how the run ended.
+// pipeline goroutine is left running, regardless of how the run ended
+// (bar a source still blocked in an uninterruptible Next of a cancelled
+// run — see Source).
 //
 // Run returns the final counter snapshot and the first error among
 // the sink's, the source's, and the context's. A nil sink counts and
-// discards. EOF from the source is a clean end of stream.
+// discards. EOF from the source is a clean end of stream. The source
+// goroutine is the decode stage: the workers receive decoded records
+// and only classify.
 func Run(ctx context.Context, src Source, cfg Config, sink Sink) (Counts, error) {
-	workers := cfg.Workers
+	f := &front{
+		stage: stageDecode, shard: -1,
+		next: func(cur *rawBatch) error {
+			c, err := src.Next()
+			if err != nil {
+				return err
+			}
+			cur.conns = append(cur.conns, c)
+			return nil
+		},
+	}
+	if bc, ok := src.(byteCounter); ok {
+		f.bytesRead = bc.BytesRead
+	}
+	return run(ctx, cfg, sink, []*front{f})
+}
+
+// Stream runs a TDCAP capture read incrementally from r through the
+// pipeline: a scanner goroutine finds record boundaries and the worker
+// pool decodes and classifies, so ingest scales with Config.Workers.
+// Semantics match Run over a ReaderSource exactly — same Counts
+// accounting, same ordered/unordered delivery, same
+// drain-the-good-prefix behaviour on a corrupt tail — only the work
+// placement differs.
+func Stream(ctx context.Context, r io.Reader, cfg Config, sink Sink) (Counts, error) {
+	return run(ctx, cfg, sink, []*front{scanFront(capture.NewScanner(r), 0, -1)})
+}
+
+// ShardedScan streams an indexed TDCAP capture through one scanning
+// front per index segment, each over its own byte range of the file
+// (capture.SegmentedSource), which removes the single-scanner
+// bottleneck. Semantics match Stream over the same file — same Counts
+// accounting, same ordered/unordered delivery, same Sink and Observe
+// contracts — and on a clean file the output is byte-identical.
+//
+// Error semantics differ in one honest way: a corrupt record stops
+// only its own segment, so the delivered "good prefix" is the union of
+// every other segment plus the corrupt segment's good prefix — more
+// data recovered than a single scanner would manage, never less, and
+// the error still surfaces. A seam violation (the index promised a
+// boundary that is not one) surfaces as capture.ErrBadIndex; callers
+// then rerun with Stream, which is why a hostile index can waste time
+// but cannot corrupt output.
+func ShardedScan(ctx context.Context, src *capture.SegmentedSource, cfg Config, sink Sink) (Counts, error) {
+	// Scanners are created here, before anything runs concurrently, so
+	// SegmentedSource.BytesRead can sum them from a telemetry scrape
+	// without racing lazy construction.
+	fronts := make([]*front, src.Segments())
+	for i := range fronts {
+		fronts[i] = scanFront(src.Scanner(i), src.Segment(i).FirstRecord, int32(i))
+		fronts[i].check = func() error { return src.CheckSegment(i) }
+	}
+	return run(ctx, cfg, sink, fronts)
+}
+
+// ShardWorkers reports the total decode+classify worker count a
+// ShardedScan run will use for the given Config.Workers and shard
+// count: every shard gets at least one worker, so the total exceeds
+// Config.Workers when there are more shards than workers. Callers
+// that size per-worker observers (analysis.NewSharded) must use this
+// resolved total, and Config.Observe receives worker indexes in
+// [0, ShardWorkers(...)).
+func ShardWorkers(workers, shards int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = DefaultDepth
+	if shards < 1 {
+		shards = 1
 	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	if batch > depth {
-		batch = depth
-	}
-	cl := cfg.Classifier
-	if cl == nil {
-		cl = core.NewClassifier(core.DefaultConfig())
-	}
-	tel := cfg.Telemetry
-	m := cfg.Metrics
-	if m == nil {
-		if tel != nil {
-			m = tel.Metrics()
-		} else {
-			m = &Metrics{}
-		}
-	}
-	if tel != nil {
-		tel.attach(m)
-	}
-	if sink == nil {
-		sink = func(Item) error { return nil }
-	}
-	// Producer ring plan mirrors ScanTDCAP: 0 = the decode (source)
-	// goroutine, 1 = the deliver stage, 2+w = worker w. The sequential
-	// path emits batch-level spans only — per-record spans belong to
-	// the scan paths, where decode runs in the workers.
-	rt := newRunTrace(cfg.Tracer)
-	var decRing, sinkRing *trace.Ring
-	if rt != nil {
-		decRing = rt.t.Ring(0)
-		rt.t.LabelRing(0, "decode/0")
-		sinkRing = rt.t.Ring(1)
-		rt.t.LabelRing(1, "sink")
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Channel capacities are expressed in batches so Depth keeps
-	// bounding the records in flight regardless of the batch size.
-	chanCap := depth / batch
-	if chanCap < 1 {
-		chanCap = 1
-	}
-	decoded := make(chan []Item, chanCap) // decode → classify (Res unset)
-	results := make(chan []Item, chanCap) // classify → deliver
-
-	// Batches recycle through a pool; a drained batch is cleared before
-	// reuse so pooled slices don't pin delivered records.
-	pool := sync.Pool{New: func() any {
-		b := make([]Item, 0, batch)
-		return &b
-	}}
-	getBatch := func() []Item { return (*pool.Get().(*[]Item))[:0] }
-	putBatch := func(b []Item) {
-		b = b[:cap(b)]
-		clear(b)
-		b = b[:0]
-		pool.Put(&b)
-	}
-
-	// Decode stage: a single goroutine pulls records off the source
-	// and enqueues them batch by batch. It stops on EOF, on a source
-	// error, or when the context is cancelled (backpressure propagates
-	// here: a full decoded channel blocks the source).
-	var srcErr error // written before decodeDone closes
-	decodeDone := make(chan struct{})
-	go func() {
-		defer close(decodeDone)
-		defer close(decoded)
-		// Telemetry: batchStart tracks decode time per batch (excluding
-		// time blocked on a full channel, which the queue gauge shows
-		// instead); srcBytes feeds capture throughput when the source
-		// can report raw bytes consumed.
-		var batchStart time.Time
-		var lastBytes int64
-		srcBytes, _ := src.(byteCounter)
-		if tel != nil {
-			batchStart = time.Now()
-		}
-		var trDecStart int64
-		if rt != nil {
-			trDecStart = nowNS()
-		}
-		cur := getBatch()
-		flush := func() bool {
-			if len(cur) == 0 {
-				return true
-			}
-			if tel != nil {
-				tel.stageLat[stageDecode].Observe(time.Since(batchStart).Nanoseconds())
-				if srcBytes != nil {
-					b := srcBytes.BytesRead()
-					tel.capBytes.Add(b - lastBytes)
-					lastBytes = b
-				}
-			}
-			if rt != nil {
-				rt.emit(decRing, rt.decode, rt.t.NewSpanID(), rt.t.Root(),
-					trDecStart, nowNS(), -1, -1, int64(cur[0].Index), int32(len(cur)))
-			}
-			select {
-			case decoded <- cur:
-				if tel != nil {
-					tel.queueDecos.Set(int64(len(decoded)) * int64(batch))
-					batchStart = time.Now()
-				}
-				if rt != nil {
-					trDecStart = nowNS()
-				}
-				cur = getBatch()
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		for i := 0; ; i++ {
-			c, err := src.Next()
-			if err == io.EOF {
-				flush()
-				return
-			}
-			if err != nil {
-				// Stop decoding but do NOT cancel: the records already
-				// decoded drain through and are delivered, mirroring the
-				// batch reader's return-the-good-prefix behaviour. The
-				// error surfaces once the pipeline is empty.
-				m.errors.Add(1)
-				srcErr = err
-				flush()
-				return
-			}
-			m.decoded.Add(1)
-			cur = append(cur, Item{Index: i, Conn: c})
-			if len(cur) >= batch && !flush() {
-				return
-			}
-		}
-	}()
-
-	// Classify stage: the worker pool. Each worker owns a private copy
-	// of the (stateless) classifier and a scratch arena, so records
-	// classify without shared state or per-record allocation. Workers
-	// exit when the decode channel closes (drain) or the context is
-	// cancelled mid-send.
-	// A classifier panic on one record is contained to that record
-	// (safeClassify): it is converted to Item.Err, counted as an error,
-	// and still forwarded so ordered delivery never stalls on the gap —
-	// one poisoned record must not take down the whole stream.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wcl := *cl // private instance: no false sharing across workers
-			var scratch core.Scratch
-			var wring *trace.Ring
-			if rt != nil {
-				wring = rt.t.Ring(2 + worker)
-				rt.t.LabelRing(2+worker, "worker/"+itoa(worker))
-			}
-			for {
-				// Receive under the context so cancellation (a signal, a
-				// deadline) releases workers even while the decoder is
-				// blocked inside an uninterruptible source read.
-				var b []Item
-				select {
-				case bb, ok := <-decoded:
-					if !ok {
-						return
-					}
-					b = bb
-				case <-ctx.Done():
-					return
-				}
-				var classifyStart time.Time
-				if tel != nil {
-					classifyStart = time.Now()
-				}
-				var trClsStart int64
-				if rt != nil {
-					trClsStart = nowNS()
-				}
-				for i := range b {
-					b[i].Res, b[i].Err = safeClassify(&wcl, &scratch, b[i].Conn)
-					if b[i].Err != nil {
-						if rt != nil {
-							rt.t.Flight().Record("ERROR", "classifier panic contained",
-								trace.A("record", b[i].Index), trace.A("worker", worker), trace.A("err", b[i].Err))
-						}
-						m.errors.Add(1)
-					} else {
-						m.classified.Add(1)
-						if b[i].Res.Signature.IsTampering() {
-							m.tampering.Add(1)
-						}
-					}
-					if tel != nil {
-						tel.observeSig(worker, b[i])
-					}
-				}
-				var observeStart time.Time
-				if tel != nil {
-					observeStart = time.Now()
-					tel.stageLat[stageClassify].Observe(observeStart.Sub(classifyStart).Nanoseconds())
-				}
-				var trObsStart int64
-				if rt != nil {
-					trObsStart = nowNS()
-					rt.emit(wring, rt.classify, rt.t.NewSpanID(), rt.t.Root(),
-						trClsStart, trObsStart, int32(worker), -1, int64(b[0].Index), int32(len(b)))
-				}
-				// Observe runs as a second pass over the batch: per-record
-				// semantics are unchanged (sequential per worker, before the
-				// batch is handed downstream), and its cost is timed apart
-				// from the classify cost.
-				if cfg.Observe != nil {
-					for i := range b {
-						cfg.Observe(worker, b[i])
-					}
-					if tel != nil {
-						tel.stageLat[stageObserve].Observe(time.Since(observeStart).Nanoseconds())
-					}
-					if rt != nil {
-						rt.emit(wring, rt.observe, rt.t.NewSpanID(), rt.t.Root(),
-							trObsStart, nowNS(), int32(worker), -1, int64(b[0].Index), int32(len(b)))
-					}
-				}
-				select {
-				case results <- b:
-					if tel != nil {
-						tel.queueRes.Set(int64(len(results)) * int64(batch))
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Deliver stage, on the caller's goroutine. After a sink error or
-	// cancellation we keep draining the results channel (so blocked
-	// workers can exit) but stop invoking the sink.
-	var sinkErr error
-	stopped := false
-	deliver := func(it Item) {
-		if stopped || ctx.Err() != nil {
-			return
-		}
-		switch err := sink(it); {
-		case err == nil:
-			m.delivered.Add(1)
-		case errors.Is(err, ErrStop):
-			stopped = true
-			cancel()
-		default:
-			m.errors.Add(1)
-			sinkErr = fmt.Errorf("pipeline: sink: %w", err)
-			stopped = true
-			cancel()
-		}
-	}
-	deliverBatch := func(b []Item) {
-		var sinkStart time.Time
-		if tel != nil {
-			sinkStart = time.Now()
-		}
-		var trSinkStart int64
-		var first int64
-		if rt != nil {
-			trSinkStart = nowNS()
-			first = int64(b[0].Index)
-		}
-		for i := range b {
-			deliver(b[i])
-		}
-		if tel != nil {
-			tel.stageLat[stageSink].Observe(time.Since(sinkStart).Nanoseconds())
-		}
-		if rt != nil {
-			rt.emit(sinkRing, rt.sink, rt.t.NewSpanID(), rt.t.Root(),
-				trSinkStart, nowNS(), -1, -1, first, int32(len(b)))
-		}
-		putBatch(b)
-	}
-	if cfg.Ordered {
-		// Reorder buffer: holds out-of-order batches until their
-		// predecessors arrive, keyed by first index. The single decoder
-		// fills batches with contiguous indexes, so delivering batches in
-		// first-index order delivers every record in decode order. Bounded
-		// by the batches in flight.
-		pending := make(map[int][]Item)
-		next := 0
-		for b := range results {
-			pending[b[0].Index] = b
-			for {
-				nb, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next += len(nb)
-				deliverBatch(nb)
-			}
-		}
-	} else {
-		for b := range results {
-			deliverBatch(b)
-		}
-	}
-	// Wait for the decoder unless the context was cancelled: a cancelled
-	// run must not hang on a source blocked in an uninterruptible read.
-	// The decode goroutine exits on its own once the read returns (its
-	// channel send selects on ctx.Done); srcErr is read only when it has
-	// finished, which is what makes the unsynchronized write safe.
-	srcDone := false
-	select {
-	case <-decodeDone:
-		srcDone = true
-	case <-ctx.Done():
-		select {
-		case <-decodeDone:
-			srcDone = true
-		default:
-		}
-	}
-	if tel != nil {
-		// Both channels are fully drained once delivery ends.
-		tel.queueDecos.Set(0)
-		tel.queueRes.Set(0)
-	}
-
-	counts := m.Snapshot()
-	counts.Dropped = counts.Decoded - counts.Delivered
-	m.dropped.Store(counts.Dropped)
-
-	switch {
-	case sinkErr != nil:
-		return counts, sinkErr
-	case srcDone && srcErr != nil:
-		return counts, fmt.Errorf("pipeline: source: %w", srcErr)
-	case ctx.Err() != nil && !stopped:
-		return counts, ctx.Err()
-	}
-	return counts, nil
+	return max(workers, shards)
 }
 
-// Stream decodes TDCAP connection records incrementally from r and
-// runs them through the pipeline. By default it uses the parallel
-// decode path (ScanTDCAP): a scanner goroutine finds record
-// boundaries and the workers decode and classify, so ingest scales
-// with Config.Workers. Config.SequentialDecode selects the original
-// decode-on-the-source-goroutine path instead; results and counters
-// are identical either way.
-func Stream(ctx context.Context, r io.Reader, cfg Config, sink Sink) (Counts, error) {
-	if cfg.SequentialDecode {
-		return Run(ctx, NewReaderSource(r), cfg, sink)
+// shardWorkerCounts splits the resolved worker total across shards,
+// front-loading the remainder so counts differ by at most one.
+func shardWorkerCounts(workers, shards int) []int {
+	if shards == 0 {
+		return nil // an empty capture has no segments to serve
 	}
-	return ScanTDCAP(ctx, r, cfg, sink)
+	total := ShardWorkers(workers, shards)
+	counts := make([]int, shards)
+	base, extra := total/shards, total%shards
+	for i := range counts {
+		counts[i] = base
+		if i < extra {
+			counts[i]++
+		}
+	}
+	return counts
 }

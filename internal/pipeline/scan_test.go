@@ -1,10 +1,10 @@
 package pipeline
 
-// Tests for the parallel decode path (ScanTDCAP): result parity with
-// the sequential path at every worker count, slab ownership under the
-// race detector, goroutine hygiene on cancel/early-close/sink-error,
-// the corrupt-tail partial-results contract, and the decode-scaling
-// regression gate.
+// Tests for the parallel decode path (Stream): result parity with the
+// sequential Run(ReaderSource) reference at every worker count, slab
+// ownership under the race detector, goroutine hygiene on
+// cancel/early-close/sink-error, the corrupt-tail partial-results
+// contract, and the decode-scaling regression gate.
 
 import (
 	"bytes"
@@ -26,9 +26,18 @@ import (
 // record index, plus the run's counts and error.
 func collectResults(t *testing.T, data []byte, cfg Config, n int) ([]core.Result, Counts, error) {
 	t.Helper()
+	return collectFrom(t, n, func(sink Sink) (Counts, error) {
+		return Stream(context.Background(), bytes.NewReader(data), cfg, sink)
+	})
+}
+
+// collectFrom is collectResults over any entry point: run receives the
+// collecting sink and drives one pipeline run into it.
+func collectFrom(t *testing.T, n int, run func(Sink) (Counts, error)) ([]core.Result, Counts, error) {
+	t.Helper()
 	out := make([]core.Result, n)
 	seen := make([]bool, n)
-	counts, err := Stream(context.Background(), bytes.NewReader(data), cfg, func(it Item) error {
+	counts, err := run(func(it Item) error {
 		if it.Err != nil {
 			return fmt.Errorf("item %d: %w", it.Index, it.Err)
 		}
@@ -70,9 +79,11 @@ func TestScanMatchesSequentialByteParity(t *testing.T) {
 		want[i] = cl.Classify(c)
 	}
 
-	// Sequential-decode pipeline (the legacy work placement).
-	seqRes, seqCounts, err := collectResults(t, data,
-		Config{Workers: 4, Ordered: true, SequentialDecode: true}, len(conns))
+	// Sequential-decode pipeline (decode on the source goroutine).
+	seqRes, seqCounts, err := collectFrom(t, len(conns), func(sink Sink) (Counts, error) {
+		return Run(context.Background(), NewReaderSource(bytes.NewReader(data)),
+			Config{Workers: 4, Ordered: true}, sink)
+	})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -321,8 +332,8 @@ func TestScanTelemetrySplit(t *testing.T) {
 
 	// The sequential path never touches the scan stage.
 	tel2 := NewTelemetry(nil)
-	if _, err := Stream(context.Background(), bytes.NewReader(data),
-		Config{Workers: 2, SequentialDecode: true, Telemetry: tel2}, nil); err != nil {
+	if _, err := Run(context.Background(), NewReaderSource(bytes.NewReader(data)),
+		Config{Workers: 2, Telemetry: tel2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := tel2.stageLat[stageScan].Snapshot(); s.Count != 0 {

@@ -1,7 +1,7 @@
 package pipeline
 
 // Tests for the shard-parallel ingest path (ShardedScan): byte parity
-// with ScanTDCAP at every shard count — the correctness gate for the
+// with Stream at every shard count — the correctness gate for the
 // whole indexed-segment design — plus hostile-index containment,
 // partial-results semantics, goroutine hygiene, the worker-index
 // contract shared observers rely on, and the shard-scaling gate.
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func collectSharded(t *testing.T, src *capture.SegmentedSource, cfg Config, n in
 // TestShardedScanParity is THE correctness gate for sharded ingest: a
 // fixed-seed 60k-connection scenario must yield, at shards 1, 2, 4,
 // and 8, ordered and unordered, the exact Result-for-Result output of
-// the single-scanner ScanTDCAP path (itself pinned to the batch
+// the single-scanner Stream path (itself pinned to the batch
 // reference in scan_test.go).
 func TestShardedScanParity(t *testing.T) {
 	total := e2eTotal(t)
@@ -101,7 +102,7 @@ func TestShardedScanParity(t *testing.T) {
 	want, _, wantCounts, err := func() ([]core.Result, []bool, Counts, error) {
 		out := make([]core.Result, len(conns))
 		seen := make([]bool, len(conns))
-		counts, err := ScanTDCAP(context.Background(), bytes.NewReader(data),
+		counts, err := Stream(context.Background(), bytes.NewReader(data),
 			Config{Workers: 4, Ordered: true, BatchSize: 64},
 			func(it Item) error {
 				seen[it.Index] = true
@@ -111,7 +112,7 @@ func TestShardedScanParity(t *testing.T) {
 		return out, seen, counts, err
 	}()
 	if err != nil {
-		t.Fatalf("ScanTDCAP reference: %v", err)
+		t.Fatalf("Stream reference: %v", err)
 	}
 	if wantCounts.Decoded != int64(len(conns)) {
 		t.Fatalf("reference decoded %d of %d", wantCounts.Decoded, len(conns))
@@ -142,6 +143,71 @@ func TestShardedScanParity(t *testing.T) {
 						br, src.Index().DataSize-8)
 				}
 			})
+		}
+	}
+}
+
+// TestEntryPointsAgree drives one capture through all three front ends
+// of the engine — Run over a ReaderSource, Stream, and ShardedScan at 1
+// and 3 shards — and requires the identical (Index, Res) sequence
+// (sorted by index when unordered) and identical Counts from each, with
+// no goroutine left behind.
+func TestEntryPointsAgree(t *testing.T) {
+	defer checkGoroutines(t)()
+	const n = 1000
+	data := encodeIndexed(t, testConns(n), 16)
+	type verdict struct {
+		Index int
+		Res   core.Result
+	}
+	entries := []struct {
+		name string
+		run  func(Config, Sink) (Counts, error)
+	}{
+		{"Run", func(cfg Config, sink Sink) (Counts, error) {
+			return Run(context.Background(), NewReaderSource(bytes.NewReader(data)), cfg, sink)
+		}},
+		{"Stream", func(cfg Config, sink Sink) (Counts, error) {
+			return Stream(context.Background(), bytes.NewReader(data), cfg, sink)
+		}},
+		{"ShardedScan/1", func(cfg Config, sink Sink) (Counts, error) {
+			return ShardedScan(context.Background(), shardedSource(t, data, 1), cfg, sink)
+		}},
+		{"ShardedScan/3", func(cfg Config, sink Sink) (Counts, error) {
+			return ShardedScan(context.Background(), shardedSource(t, data, 3), cfg, sink)
+		}},
+	}
+	var want []verdict
+	var wantCounts Counts
+	for _, ordered := range []bool{true, false} {
+		for _, workers := range []int{1, 4} {
+			for _, e := range entries {
+				var got []verdict
+				counts, err := e.run(Config{Workers: workers, Ordered: ordered, BatchSize: 16},
+					func(it Item) error {
+						got = append(got, verdict{it.Index, it.Res})
+						return it.Err
+					})
+				if err != nil {
+					t.Fatalf("%s ordered=%v workers=%d: %v", e.name, ordered, workers, err)
+				}
+				if !ordered {
+					slices.SortFunc(got, func(a, b verdict) int { return a.Index - b.Index })
+				}
+				if want == nil {
+					if len(got) != n {
+						t.Fatalf("reference run delivered %d of %d records", len(got), n)
+					}
+					want, wantCounts = got, counts
+					continue
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s ordered=%v workers=%d: delivered sequence differs from the reference", e.name, ordered, workers)
+				}
+				if counts != wantCounts {
+					t.Errorf("%s ordered=%v workers=%d: counts %+v, want %+v", e.name, ordered, workers, counts, wantCounts)
+				}
+			}
 		}
 	}
 }

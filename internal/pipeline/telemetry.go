@@ -9,10 +9,10 @@ import (
 )
 
 // Pipeline stage indexes for the per-stage latency histograms. The
-// parallel scan path (Stream's default) times the raw-record scanner
-// under "scan" and the per-worker decode under "decode", so /metrics
-// separates boundary-finding cost from field-decoding cost; the
-// sequential Run path attributes its whole source stage to "decode".
+// scan paths (Stream, ShardedScan) time the raw-record scanner under
+// "scan" and the per-worker decode under "decode", so /metrics
+// separates boundary-finding cost from field-decoding cost; Run
+// attributes its whole source stage to "decode".
 const (
 	stageDecode = iota
 	stageClassify
@@ -45,9 +45,9 @@ var dispositionNames = [numDispositions]string{
 //     records after the most recent finished run.
 //   - tamperdetect_pipeline_stage_latency_ns{stage=...}: per-batch
 //     latency histograms for the scan, decode, classify, observe, and
-//     sink stages ("scan" is the parallel path's raw-record scanner;
-//     "decode" is its per-worker field decode, or the whole source
-//     stage on the sequential Run path). Observations are per batch
+//     sink stages ("scan" is the scan paths' raw-record scanner;
+//     "decode" is their per-worker field decode, or Run's whole
+//     source stage). Observations are per batch
 //     (Config.BatchSize records), not per record, which keeps the
 //     classify hot path at two time.Now calls per batch.
 //   - tamperdetect_pipeline_queue_depth_records{queue=...}: sampled

@@ -14,20 +14,22 @@ import (
 //
 // Span taxonomy (all spans share the tracer's trace ID):
 //
-//	scan            one per raw batch, on the scanner's ring
+//	scan            one per raw batch, on the scanner front's ring
+//	                (Run's Source front emits a root-level decode
+//	                span per batch here instead: it decodes itself)
 //	queue-wait      enqueue → worker pickup, per batch (async in the
 //	                Chrome export: its interval overlaps whatever the
 //	                picking worker was doing before)
-//	decode          one per batch, on the worker's ring
+//	decode          one per batch, on the worker's ring (scan paths)
 //	decode.record   per head-sampled record, nested in decode
 //	classify        one per batch (+ classify.record)
 //	observe         one per batch (+ observe.record)
 //	sink            one per delivered batch (+ sink.record), on the
 //	                deliver ring
 //
-// Lineage: scan is the parent of the batch's queue-wait, decode,
-// classify, observe, and sink spans; record spans parent to their
-// batch span. Shard attribution rides every span (-1 on the
+// Lineage: the front's span is the parent of the batch's queue-wait,
+// decode, classify, observe, and sink spans; record spans parent to
+// their batch span. Shard attribution rides every span (-1 on the
 // unsharded paths), so a sharded run's spans separate cleanly per
 // segment.
 type runTrace struct {
@@ -63,6 +65,16 @@ func newRunTrace(t *trace.Tracer) *runTrace {
 		observeRec:  t.NameID(SpanObserve + ".record"),
 		sinkRec:     t.NameID(SpanSink + ".record"),
 	}
+}
+
+// ring labels producer ring i and returns it, or nil when the run is
+// untraced. Each pipeline goroutine grabs its ring once at start.
+func (rt *runTrace) ring(i int, label string) *trace.Ring {
+	if rt == nil {
+		return nil
+	}
+	rt.t.LabelRing(i, label)
+	return rt.t.Ring(i)
 }
 
 // nowNS is the span clock.

@@ -21,13 +21,21 @@ import (
 // and returns every span it emitted.
 func traceProfile(t *testing.T, data []byte, cfg Config, sampleEvery int) []trace.Span {
 	t.Helper()
+	return traceProfileOf(t, cfg, sampleEvery, func(cfg Config) (Counts, error) {
+		return Stream(context.Background(), bytes.NewReader(data), cfg, nil)
+	})
+}
+
+// traceProfileOf is traceProfile over any entry point.
+func traceProfileOf(t *testing.T, cfg Config, sampleEvery int, run func(Config) (Counts, error)) []trace.Span {
+	t.Helper()
 	tr := trace.New(trace.Config{
 		TraceID:     0xfeed,
 		SampleEvery: sampleEvery,
 		MaxProfile:  1 << 20,
 	})
 	cfg.Tracer = tr
-	if _, err := Stream(context.Background(), bytes.NewReader(data), cfg, nil); err != nil {
+	if _, err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if d := tr.ProfileDropped(); d != 0 {
@@ -176,6 +184,20 @@ func canonicalSpanKeys(spans []trace.Span) string {
 	return strings.Join(keys, "\n")
 }
 
+// postDecodeRecordKeys is canonicalSpanKeys restricted to the
+// per-record spans the worker body and deliver stage emit after decode
+// (classify.record, sink.record) — the part of the sampled set every
+// entry point shares.
+func postDecodeRecordKeys(spans []trace.Span) string {
+	var rec []trace.Span
+	for _, s := range spans {
+		if strings.HasSuffix(s.Name, ".record") && s.Name != SpanDecode+".record" {
+			rec = append(rec, s)
+		}
+	}
+	return canonicalSpanKeys(rec)
+}
+
 // TestTraceSampledSetDeterministic checks the reproducibility
 // contract: head sampling is keyed on record index alone, so two runs
 // over the same capture trace byte-identical span sets (modulo timing
@@ -184,9 +206,10 @@ func TestTraceSampledSetDeterministic(t *testing.T) {
 	data := encode(t, testConns(300))
 	var want string
 	for _, workers := range []int{1, 4, 16} {
+		var streamSpans []trace.Span
 		for run := 0; run < 2; run++ {
-			spans := traceProfile(t, data, Config{Workers: workers, BatchSize: 32}, 32)
-			got := canonicalSpanKeys(spans)
+			streamSpans = traceProfile(t, data, Config{Workers: workers, BatchSize: 32}, 32)
+			got := canonicalSpanKeys(streamSpans)
 			if want == "" {
 				want = got
 				continue
@@ -195,6 +218,16 @@ func TestTraceSampledSetDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d run=%d traced a different span set:\ngot:\n%s\nwant:\n%s",
 					workers, run, got, want)
 			}
+		}
+		// Run decodes on its source goroutine but shares the worker body
+		// and the deliver stage, so it must sample exactly the records
+		// Stream samples downstream of decode.
+		spans := traceProfileOf(t, Config{Workers: workers, BatchSize: 32}, 32, func(cfg Config) (Counts, error) {
+			return Run(context.Background(), NewReaderSource(bytes.NewReader(data)), cfg, nil)
+		})
+		if got, want := postDecodeRecordKeys(spans), postDecodeRecordKeys(streamSpans); got != want {
+			t.Fatalf("workers=%d: Run sampled a different record set than Stream:\ngot:\n%s\nwant:\n%s",
+				workers, got, want)
 		}
 	}
 }

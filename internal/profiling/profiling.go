@@ -2,8 +2,7 @@
 // (plus -blockprofile/-mutexprofile for contention hunting) into the
 // repo's commands: pprof-compatible profiles for hunting allocation,
 // CPU, and lock-contention regressions in the hot paths (see
-// scripts/bench.sh for the recorded throughput trajectory the
-// profiles explain).
+// benchmark/README.md for the per-layer ledger the profiles explain).
 package profiling
 
 import (

@@ -268,13 +268,15 @@ func ServeMetrics(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
 	return telemetry.NewServer(addr, reg)
 }
 
-// Stream decodes TDCAP connection records incrementally from r and
-// classifies them through a backpressured worker pool, delivering each
-// classified connection to fn from a single goroutine. It processes
-// captures of any size in constant memory and blocks until the
-// pipeline has drained — on EOF, on error, or on ctx cancellation.
-// fn may be nil to only count, and may return ErrStopStream to stop
-// early without error.
+// Stream reads a TDCAP capture incrementally from r and classifies it
+// through a backpressured worker pool, delivering each classified
+// connection to fn from a single goroutine: a scanner goroutine finds
+// record boundaries and the workers decode and classify, so throughput
+// scales with cfg.Workers (this is the single-front form of the one
+// ingest engine in internal/pipeline). It processes captures of any
+// size in constant memory and blocks until the pipeline has drained —
+// on EOF, on error, or on ctx cancellation. fn may be nil to only
+// count, and may return ErrStopStream to stop early without error.
 func Stream(ctx context.Context, r io.Reader, cfg StreamConfig, fn func(StreamItem) error) (StreamCounts, error) {
 	return pipeline.Stream(ctx, r, cfg, fn)
 }
