@@ -112,15 +112,15 @@ func TestRunVirtualWindowCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]analysis.Record, 0, len(conns))
+	span := analysis.NewTimeSpanAgg()
 	for _, c := range conns {
 		if len(c.Packets) == 0 {
 			continue
 		}
 		ts := c.Packets[0].Timestamp
-		recs = append(recs, analysis.Record{Time: ts, Hour: int(ts / 3600)})
+		span.Add(&analysis.Record{Time: ts, Hour: int(ts / 3600)})
 	}
-	if err := analysis.ComputeTimeSpan(recs).CoversWindow(hours); err != nil {
+	if err := span.Span().CoversWindow(hours); err != nil {
 		t.Errorf("virtual window not covered: %v", err)
 	}
 }

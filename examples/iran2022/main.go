@@ -26,7 +26,13 @@ func main() {
 		return
 	}
 	conns := scen.Run(0)
-	recs := analysis.Analyze(conns, scen.Geo, core.NewClassifier(core.DefaultConfig()), 0)
+	cl := core.NewClassifier(core.DefaultConfig())
+	recs := make([]analysis.Record, len(conns))
+	asn := analysis.NewASNViewAgg()
+	for i, c := range conns {
+		recs[i] = analysis.NewRecord(c, scen.Geo, cl.Classify(c))
+		asn.Add(&recs[i])
+	}
 	fmt.Printf("simulated %d connections from Iran over 17 days\n\n", len(recs))
 
 	// Daily match rates for the protest-era signatures.
@@ -66,5 +72,5 @@ func main() {
 
 	// The AS view: the dominant ISPs carry the bulk of tampering.
 	fmt.Println()
-	fmt.Print(analysis.RenderASNView("IR", analysis.ASNView(recs, "IR")))
+	fmt.Print(analysis.RenderASNView("IR", asn.View("IR")))
 }

@@ -28,8 +28,12 @@ func main() {
 		fmt.Println("building scenario:", err)
 		return
 	}
-	conns := scen.Run(0)
-	recs := analysis.Analyze(conns, scen.Geo, core.NewClassifier(core.DefaultConfig()), 0)
+	cl := core.NewClassifier(core.DefaultConfig())
+	dom := analysis.NewDomainAgg()
+	for _, c := range scen.Run(0) {
+		rec := analysis.NewRecord(c, scen.Geo, cl.Classify(c))
+		dom.Add(&rec)
+	}
 
 	sensitive := func(d *domains.Domain) bool {
 		switch d.Category {
@@ -47,7 +51,7 @@ func main() {
 		if name == "" {
 			name = "Global"
 		}
-		tampered := analysis.TamperedDomains(recs, reg, *threshold)
+		tampered := dom.TamperedDomains(reg, *threshold)
 		fmt.Printf("%s: %d tampered domains observed passively\n", name, len(tampered))
 		if len(tampered) == 0 {
 			continue

@@ -6,16 +6,21 @@ package analysis
 // simulated PoP aggregates its own traffic and the merged result is
 // the global report), and a finalize step renders the table.
 //
-// The load-bearing invariant, which the parity suite and the merge
-// fuzz target enforce, is that every finalized table is a pure
-// function of the record *multiset*: insertion order, shard
+// The load-bearing invariant, which the parity suite, the goldens and
+// the merge fuzz target enforce, is that every finalized table is a
+// pure function of the record *multiset*: insertion order, shard
 // partitioning, and merge order must not change a single output byte.
 // That is what lets the streaming pipeline shard records across
-// workers nondeterministically (pipeline.Config.Observe), lets N PoP
-// shards merge in any order, and keeps the legacy batch functions —
-// now thin Add-in-a-loop wrappers — byte-identical to both. Merge is
-// associative, commutative, and identity-respecting (a fresh
-// aggregator is the identity element).
+// workers nondeterministically (pipeline.Config.Observe) and lets N
+// PoP shards merge in any order. Merge is associative, commutative,
+// and identity-respecting (a fresh aggregator is the identity
+// element).
+//
+// Every group-by aggregator is a projection onto one count table
+// (table.go): Add picks a key and a cell, Merge is the table's merge,
+// and every total a finalizer reports is a sum of disjoint cells. Only
+// the evidence sketches, the overlap observations and the time span
+// keep bespoke state.
 //
 // This file holds the interface and the per-connection aggregators;
 // the per-domain, overlap, stability, and robustness aggregators live
@@ -23,12 +28,15 @@ package analysis
 // sharded.go.
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/stats"
+	"tamperdetect/internal/wire"
 )
 
 // Aggregator is one incrementally computed paper table.
@@ -41,16 +49,31 @@ type Aggregator interface {
 	// added to other had been added here. Merging a mismatched type
 	// returns an error and changes nothing.
 	Merge(other Aggregator) error
-	// Finalize computes the aggregator's table — exactly the value the
-	// package-level batch function returns. It does not consume the
-	// aggregator: more Adds and Merges may follow, and Finalize may be
-	// called again.
+	// Finalize computes the aggregator's table. It does not consume
+	// the aggregator: more Adds and Merges may follow, and Finalize may
+	// be called again.
 	Finalize() any
 }
 
 // mismatch is the shared Merge type-check failure.
 func mismatch(dst, src Aggregator) error {
 	return fmt.Errorf("analysis: cannot merge %T into %T", src, dst)
+}
+
+// mergeSame runs fold when other has a's concrete type T, and fails
+// with mismatch otherwise.
+func mergeSame[T Aggregator](a T, other Aggregator, fold func(o T) error) error {
+	o, ok := other.(T)
+	if !ok {
+		return mismatch(a, other)
+	}
+	return fold(o)
+}
+
+// paramMismatch is the shared failure for differing construction
+// parameters, on Merge and on restore alike.
+func paramMismatch(name string, got, want any) error {
+	return fmt.Errorf("analysis: cannot merge %s=%v into %s=%v", name, got, name, want)
 }
 
 // Multi composes aggregators so one streaming pass fills all of them.
@@ -76,8 +99,8 @@ func (m Multi) Merge(other Aggregator) error {
 	// Multi half-merged (parameter mismatches, e.g. differing bucket
 	// widths, still surface from the element Merge itself).
 	for i := range m {
-		if err := checkMergeable(m[i], o[i]); err != nil {
-			return err
+		if fmt.Sprintf("%T", m[i]) != fmt.Sprintf("%T", o[i]) {
+			return mismatch(m[i], o[i])
 		}
 	}
 	for i := range m {
@@ -96,33 +119,40 @@ func (m Multi) Finalize() any {
 	return out
 }
 
-// checkMergeable rejects a type-mismatched element pair without
-// merging.
-func checkMergeable(dst, src Aggregator) error {
-	if fmt.Sprintf("%T", dst) != fmt.Sprintf("%T", src) {
-		return mismatch(dst, src)
+// Cells of the (unmatched, matched) rows several aggregators keep.
+const (
+	cellUnmatched = iota
+	cellMatched
+)
+
+// matchCell picks a record's cell in an (unmatched, matched) row.
+func matchCell(matched bool) int {
+	if matched {
+		return cellMatched
 	}
-	return nil
+	return cellUnmatched
 }
 
 // ---------------------------------------------------------------------
 // §4.1 stage stats (Table 1 narrative)
 
-// StageStatsAgg incrementally computes ComputeStageStats.
+// StageStatsAgg incrementally computes the §4.1 breakdown. Cell 0
+// counts records that are not possibly tampered; for each stage st,
+// cells 1+2*st and 2+2*st count its possibly-tampered records without
+// and with a signature match.
 type StageStatsAgg struct {
-	s StageStats
+	c [1 + 2*numStages]int
 }
 
 // NewStageStatsAgg returns an empty §4.1 aggregator.
 func NewStageStatsAgg() *StageStatsAgg { return &StageStatsAgg{} }
 
 func (a *StageStatsAgg) Add(rec *Record) {
-	a.s.Total++
 	r := &rec.Res
 	if !r.PossiblyTampered {
+		a.c[0]++
 		return
 	}
-	a.s.PossiblyTampered++
 	st := r.Signature.Stage()
 	if r.Signature == core.SigOtherAnomalous {
 		// Attribute to the prefix stage when known (Post-Data
@@ -132,84 +162,63 @@ func (a *StageStatsAgg) Add(rec *Record) {
 			st = core.StageOther
 		}
 	}
-	a.s.StageCounts[st]++
-	if r.Signature.IsTampering() {
-		a.s.StageMatched[st]++
-		a.s.Matched++
-	}
+	a.c[1+2*int(st)+matchCell(r.Signature.IsTampering())]++
 }
 
 func (a *StageStatsAgg) Merge(other Aggregator) error {
-	o, ok := other.(*StageStatsAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	a.s.Total += o.s.Total
-	a.s.PossiblyTampered += o.s.PossiblyTampered
-	a.s.Matched += o.s.Matched
-	for st := range a.s.StageCounts {
-		a.s.StageCounts[st] += o.s.StageCounts[st]
-		a.s.StageMatched[st] += o.s.StageMatched[st]
-	}
-	return nil
+	return mergeSame(a, other, func(o *StageStatsAgg) error {
+		addCells(a.c[:], o.c[:])
+		return nil
+	})
 }
 
 // Stats finalizes the §4.1 breakdown.
-func (a *StageStatsAgg) Stats() StageStats { return a.s }
+func (a *StageStatsAgg) Stats() StageStats {
+	var s StageStats
+	for st := 0; st < numStages; st++ {
+		unmatched, matched := a.c[1+2*st], a.c[2+2*st]
+		s.StageCounts[st] = unmatched + matched
+		s.StageMatched[st] = matched
+		s.PossiblyTampered += unmatched + matched
+		s.Matched += matched
+	}
+	s.Total = a.c[0] + s.PossiblyTampered
+	return s
+}
 
 func (a *StageStatsAgg) Finalize() any { return a.Stats() }
 
 // ---------------------------------------------------------------------
 // Figure 4: per-country signature distribution
 
-// SignatureByCountryAgg incrementally computes SignatureByCountry.
+// SignatureByCountryAgg incrementally computes Figure 4: per country,
+// one cell per signature.
 type SignatureByCountryAgg struct {
-	byCountry map[string]*CountryDistribution
+	tableAgg[string]
 }
 
 // NewSignatureByCountryAgg returns an empty Figure 4 aggregator.
 func NewSignatureByCountryAgg() *SignatureByCountryAgg {
-	return &SignatureByCountryAgg{byCountry: map[string]*CountryDistribution{}}
+	return &SignatureByCountryAgg{newTableAgg(tagSignatureByCountry, &countryKeys, numSigs, "", 0)}
 }
 
 func (a *SignatureByCountryAgg) Add(r *Record) {
-	if r.Country == "" {
-		return
+	if r.Country != "" {
+		a.t.add(r.Country, int(r.Res.Signature))
 	}
-	d := a.byCountry[r.Country]
-	if d == nil {
-		d = &CountryDistribution{Country: r.Country}
-		a.byCountry[r.Country] = d
-	}
-	d.Total++
-	d.BySignature[r.Res.Signature]++
 }
 
 func (a *SignatureByCountryAgg) Merge(other Aggregator) error {
-	o, ok := other.(*SignatureByCountryAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	for c, od := range o.byCountry {
-		d := a.byCountry[c]
-		if d == nil {
-			cp := *od
-			a.byCountry[c] = &cp
-			continue
-		}
-		d.Total += od.Total
-		for sig := range d.BySignature {
-			d.BySignature[sig] += od.BySignature[sig]
-		}
-	}
-	return nil
+	return mergeSame(a, other, func(o *SignatureByCountryAgg) error { return a.fold(&o.tableAgg) })
 }
 
 // Table finalizes Figure 4, sorted by descending tampered share.
 func (a *SignatureByCountryAgg) Table() []CountryDistribution {
-	out := make([]CountryDistribution, 0, len(a.byCountry))
-	for _, d := range a.byCountry {
-		out = append(out, *d)
+	out := make([]CountryDistribution, 0, len(a.t.rows))
+	for c, row := range a.t.rows {
+		d := CountryDistribution{Country: c, Total: sumCells(row)}
+		copy(d.BySignature[:], row)
+		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ti, tj := out[i].TamperedShare(), out[j].TamperedShare()
@@ -226,55 +235,37 @@ func (a *SignatureByCountryAgg) Finalize() any { return a.Table() }
 // ---------------------------------------------------------------------
 // Figure 1: per-signature country composition
 
-// CountryBySignatureAgg incrementally computes CountryBySignature.
+// CountryBySignatureAgg incrementally computes Figure 1: per country,
+// one cell per signature, counting tampering records only.
 type CountryBySignatureAgg struct {
-	total     [core.NumSignatures]int
-	byCountry [core.NumSignatures]map[string]int
+	tableAgg[string]
 }
 
 // NewCountryBySignatureAgg returns an empty Figure 1 aggregator.
 func NewCountryBySignatureAgg() *CountryBySignatureAgg {
-	a := &CountryBySignatureAgg{}
-	for _, sig := range core.AllSignatures() {
-		a.byCountry[sig] = map[string]int{}
-	}
-	return a
+	return &CountryBySignatureAgg{newTableAgg(tagCountryBySignature, &countryKeys, numSigs, "", 0)}
 }
 
 func (a *CountryBySignatureAgg) Add(r *Record) {
-	sig := r.Res.Signature
-	if !sig.IsTampering() || r.Country == "" {
-		return
+	if sig := r.Res.Signature; sig.IsTampering() && r.Country != "" {
+		a.t.add(r.Country, int(sig))
 	}
-	a.total[sig]++
-	a.byCountry[sig][r.Country]++
 }
 
 func (a *CountryBySignatureAgg) Merge(other Aggregator) error {
-	o, ok := other.(*CountryBySignatureAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	for _, sig := range core.AllSignatures() {
-		a.total[sig] += o.total[sig]
-		for c, n := range o.byCountry[sig] {
-			a.byCountry[sig][c] += n
-		}
-	}
-	return nil
+	return mergeSame(a, other, func(o *CountryBySignatureAgg) error { return a.fold(&o.tableAgg) })
 }
 
 // Table finalizes Figure 1 for all 19 signatures.
 func (a *CountryBySignatureAgg) Table() []SignatureComposition {
 	out := make([]SignatureComposition, 0, len(core.AllSignatures()))
 	for _, sig := range core.AllSignatures() {
-		sc := SignatureComposition{
-			Signature: sig,
-			Total:     a.total[sig],
-			ByCountry: make(map[string]int, len(a.byCountry[sig])),
-		}
-		for c, n := range a.byCountry[sig] {
-			sc.ByCountry[c] = n
+		sc := SignatureComposition{Signature: sig, ByCountry: map[string]int{}}
+		for c, row := range a.t.rows {
+			if n := row[sig]; n > 0 {
+				sc.ByCountry[c] = n
+				sc.Total += n
+			}
 		}
 		out = append(out, sc)
 	}
@@ -286,65 +277,47 @@ func (a *CountryBySignatureAgg) Finalize() any { return a.Table() }
 // ---------------------------------------------------------------------
 // Figure 5: per-AS view
 
-// ASNViewAgg incrementally computes ASNView for every country at once.
-type ASNViewAgg struct {
-	total map[string]int
-	byASN map[string]map[uint32]*asnAcc
+type countryASN struct {
+	country string
+	asn     uint32
 }
 
-type asnAcc struct{ total, matched int }
+var countryASNKeys = keyCodec[countryASN]{
+	append: func(b []byte, k countryASN) []byte {
+		return wire.AppendUvarint(wire.AppendString(b, k.country), uint64(k.asn))
+	},
+	decode: func(d *wire.Decoder) (countryASN, error) {
+		c, asn := d.String(maxSnapshotString), d.Uvarint()
+		if err := d.Err(); err != nil {
+			return countryASN{}, err
+		}
+		if asn > math.MaxUint32 {
+			return countryASN{}, fmt.Errorf("analysis: ASN %d out of range", asn)
+		}
+		return countryASN{c, uint32(asn)}, nil
+	},
+	minBytes: 2,
+}
+
+// ASNViewAgg incrementally computes Figure 5 for every country at
+// once: per (country, AS), unmatched and matched records.
+type ASNViewAgg struct {
+	tableAgg[countryASN]
+}
 
 // NewASNViewAgg returns an empty Figure 5 aggregator.
 func NewASNViewAgg() *ASNViewAgg {
-	return &ASNViewAgg{total: map[string]int{}, byASN: map[string]map[uint32]*asnAcc{}}
+	return &ASNViewAgg{newTableAgg(tagASNView, &countryASNKeys, 2, "", 0)}
 }
 
 func (a *ASNViewAgg) Add(r *Record) {
-	if r.Country == "" {
-		return
-	}
-	a.total[r.Country]++
-	m := a.byASN[r.Country]
-	if m == nil {
-		m = map[uint32]*asnAcc{}
-		a.byASN[r.Country] = m
-	}
-	acc := m[r.ASN]
-	if acc == nil {
-		acc = &asnAcc{}
-		m[r.ASN] = acc
-	}
-	acc.total++
-	if r.Res.Signature.IsTampering() {
-		acc.matched++
+	if r.Country != "" {
+		a.t.add(countryASN{r.Country, r.ASN}, matchCell(r.Res.Signature.IsTampering()))
 	}
 }
 
 func (a *ASNViewAgg) Merge(other Aggregator) error {
-	o, ok := other.(*ASNViewAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	for c, n := range o.total {
-		a.total[c] += n
-	}
-	for c, om := range o.byASN {
-		m := a.byASN[c]
-		if m == nil {
-			m = map[uint32]*asnAcc{}
-			a.byASN[c] = m
-		}
-		for asn, oacc := range om {
-			acc := m[asn]
-			if acc == nil {
-				acc = &asnAcc{}
-				m[asn] = acc
-			}
-			acc.total += oacc.total
-			acc.matched += oacc.matched
-		}
-	}
-	return nil
+	return mergeSame(a, other, func(o *ASNViewAgg) error { return a.fold(&o.tableAgg) })
 }
 
 // View finalizes Figure 5 for one country: per-AS match proportions
@@ -352,19 +325,21 @@ func (a *ASNViewAgg) Merge(other Aggregator) error {
 // ordered by traffic share (ties broken by ASN so the cut is a pure
 // function of the counts).
 func (a *ASNViewAgg) View(country string) []ASNStat {
-	total := a.total[country]
+	var all []ASNStat
+	total := 0
+	for k, row := range a.t.rows {
+		if k.country != country {
+			continue
+		}
+		n := row[cellUnmatched] + row[cellMatched]
+		all = append(all, ASNStat{ASN: k.asn, Total: n, Matched: row[cellMatched]})
+		total += n
+	}
 	if total == 0 {
 		return nil
 	}
-	m := a.byASN[country]
-	all := make([]ASNStat, 0, len(m))
-	for asn, acc := range m {
-		all = append(all, ASNStat{
-			ASN:          asn,
-			Total:        acc.total,
-			Matched:      acc.matched,
-			CountryShare: stats.Ratio(acc.total, total),
-		})
+	for i := range all {
+		all[i].CountryShare = stats.Ratio(all[i].Total, total)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Total != all[j].Total {
@@ -387,18 +362,19 @@ func (a *ASNViewAgg) View(country string) []ASNStat {
 
 // Countries lists the countries with any records, sorted.
 func (a *ASNViewAgg) Countries() []string {
-	out := make([]string, 0, len(a.total))
-	for c := range a.total {
-		out = append(out, c)
+	var out []string
+	for _, k := range a.t.order(func(x, y countryASN) bool { return x.country < y.country }) {
+		if c := k.country; len(out) == 0 || out[len(out)-1] != c {
+			out = append(out, c)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Finalize returns every country's view, keyed by country code.
 func (a *ASNViewAgg) Finalize() any {
-	out := make(map[string][]ASNStat, len(a.total))
-	for c := range a.total {
+	out := map[string][]ASNStat{}
+	for _, c := range a.Countries() {
 		out[c] = a.View(c)
 	}
 	return out
@@ -407,16 +383,17 @@ func (a *ASNViewAgg) Finalize() any {
 // ---------------------------------------------------------------------
 // Figures 6, 8, 9: longitudinal series
 
-// TimeSeriesAgg incrementally computes TimeSeries for one
-// (bucketHours, include, matched) parameterisation, fixed at
-// construction. Merging aggregators built with different predicates
-// is not detectable (functions are not comparable) and is the
-// caller's responsibility; mismatched bucket widths are rejected.
+// TimeSeriesAgg incrementally computes a match-share series bucketed
+// by hour for one (bucketHours, include, matched) parameterisation,
+// fixed at construction: per bucket, unmatched and matched records
+// that pass include (Figures 6, 8, 9 use different predicates).
+// Merging aggregators built with different predicates is not
+// detectable (functions are not comparable) and is the caller's
+// responsibility; mismatched bucket widths are rejected.
 type TimeSeriesAgg struct {
-	bucketHours int
-	include     func(*Record) bool
-	matched     func(*Record) bool
-	byBucket    map[int]*SeriesPoint
+	tableAgg[int] // param: bucketHours
+	include       func(*Record) bool
+	matched       func(*Record) bool
 }
 
 // NewTimeSeriesAgg returns an empty longitudinal-series aggregator; a
@@ -426,10 +403,9 @@ func NewTimeSeriesAgg(bucketHours int, include func(*Record) bool, matched func(
 		bucketHours = 1
 	}
 	return &TimeSeriesAgg{
-		bucketHours: bucketHours,
-		include:     include,
-		matched:     matched,
-		byBucket:    map[int]*SeriesPoint{},
+		tableAgg: newTableAgg(tagTimeSeries, &intKeys, 2, "bucketHours", bucketHours),
+		include:  include,
+		matched:  matched,
 	}
 }
 
@@ -437,135 +413,98 @@ func (a *TimeSeriesAgg) Add(r *Record) {
 	if a.include != nil && !a.include(r) {
 		return
 	}
-	b := r.Hour / a.bucketHours * a.bucketHours
-	p := a.byBucket[b]
-	if p == nil {
-		p = &SeriesPoint{Hour: b}
-		a.byBucket[b] = p
-	}
-	p.Total++
-	if a.matched(r) {
-		p.Matched++
-	}
+	a.t.add(r.Hour/a.param*a.param, matchCell(a.matched(r)))
 }
 
 func (a *TimeSeriesAgg) Merge(other Aggregator) error {
-	o, ok := other.(*TimeSeriesAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	if o.bucketHours != a.bucketHours {
-		return fmt.Errorf("analysis: cannot merge %dh-bucket series into %dh-bucket series",
-			o.bucketHours, a.bucketHours)
-	}
-	for b, op := range o.byBucket {
-		p := a.byBucket[b]
-		if p == nil {
-			cp := *op
-			a.byBucket[b] = &cp
-			continue
-		}
-		p.Total += op.Total
-		p.Matched += op.Matched
-	}
-	return nil
+	return mergeSame(a, other, func(o *TimeSeriesAgg) error { return a.fold(&o.tableAgg) })
 }
 
 // Series finalizes the bucketed series in hour order.
 func (a *TimeSeriesAgg) Series() []SeriesPoint {
-	out := make([]SeriesPoint, 0, len(a.byBucket))
-	for _, p := range a.byBucket {
-		out = append(out, *p)
+	out := make([]SeriesPoint, 0, len(a.t.rows))
+	for _, h := range a.t.order(cmp.Less[int]) {
+		row := a.t.rows[h]
+		out = append(out, SeriesPoint{
+			Hour:    h,
+			Total:   row[cellUnmatched] + row[cellMatched],
+			Matched: row[cellMatched],
+		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Hour < out[j].Hour })
 	return out
 }
 
 func (a *TimeSeriesAgg) Finalize() any { return a.Series() }
 
 // ---------------------------------------------------------------------
-// Figure 7a: IPv4 vs IPv6
+// Figure 7: IPv4 vs IPv6, TLS vs HTTP
 
-// IPVersionAgg incrementally computes IPVersionCompare. The
+// familyRow is one country's Figure 7 counts for the first family
+// (IPv4, TLS) and the second (IPv6, HTTP). Its table row holds each
+// family's unmatched and matched cells in turn.
+type familyRow struct {
+	country        string
+	total, matched [2]int
+}
+
+// familyRows lists the Figure 7 rows with at least min records in both
+// families, in country order, with the through-origin slope of the
+// second family's match share on the first's. The slope's inputs
+// accumulate in sorted country order so the float sum is reproducible
+// bit for bit.
+func familyRows(t *table[string], min int) ([]familyRow, float64) {
+	var rows []familyRow
+	var xs, ys []float64
+	for _, country := range t.order(cmp.Less[string]) {
+		c := t.rows[country]
+		f := familyRow{country, [2]int{c[0] + c[1], c[2] + c[3]}, [2]int{c[1], c[3]}}
+		if f.total[0] < min || f.total[1] < min {
+			continue
+		}
+		rows = append(rows, f)
+		xs = append(xs, stats.Percent(stats.Ratio(f.matched[0], f.total[0])))
+		ys = append(ys, stats.Percent(stats.Ratio(f.matched[1], f.total[1])))
+	}
+	return rows, stats.SlopeThroughOrigin(xs, ys)
+}
+
+// IPVersionAgg incrementally computes Figure 7a: per country, IPv4 and
+// IPv6 records without and with a Post-ACK/Post-PSH match. The
 // minPerVersion row filter is fixed at construction.
 type IPVersionAgg struct {
-	minPerVersion int
-	byCountry     map[string]*VersionComparison
+	tableAgg[string] // param: minPerVersion
 }
 
 // NewIPVersionAgg returns an empty Figure 7a aggregator.
 func NewIPVersionAgg(minPerVersion int) *IPVersionAgg {
-	return &IPVersionAgg{minPerVersion: minPerVersion, byCountry: map[string]*VersionComparison{}}
+	return &IPVersionAgg{newTableAgg(tagIPVersion, &countryKeys, 4, "minPerVersion", minPerVersion)}
 }
 
 func (a *IPVersionAgg) Add(r *Record) {
 	if r.Country == "" {
 		return
 	}
-	v := a.byCountry[r.Country]
-	if v == nil {
-		v = &VersionComparison{Country: r.Country}
-		a.byCountry[r.Country] = v
-	}
-	m := PostACKPSHMatch(r)
+	fam := 0
 	if r.IPVersion == 6 {
-		v.V6Total++
-		if m {
-			v.V6M++
-		}
-	} else {
-		v.V4Total++
-		if m {
-			v.V4M++
-		}
+		fam = 1
 	}
+	a.t.add(r.Country, 2*fam+matchCell(PostACKPSHMatch(r)))
 }
 
 func (a *IPVersionAgg) Merge(other Aggregator) error {
-	o, ok := other.(*IPVersionAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	if o.minPerVersion != a.minPerVersion {
-		return fmt.Errorf("analysis: cannot merge minPerVersion=%d into minPerVersion=%d",
-			o.minPerVersion, a.minPerVersion)
-	}
-	for c, ov := range o.byCountry {
-		v := a.byCountry[c]
-		if v == nil {
-			cp := *ov
-			a.byCountry[c] = &cp
-			continue
-		}
-		v.V4Total += ov.V4Total
-		v.V4M += ov.V4M
-		v.V6Total += ov.V6Total
-		v.V6M += ov.V6M
-	}
-	return nil
+	return mergeSame(a, other, func(o *IPVersionAgg) error { return a.fold(&o.tableAgg) })
 }
 
-// Table finalizes Figure 7a: the qualifying rows in country order plus
-// the through-origin slope. The slope's inputs accumulate in sorted
-// country order so the float sum is reproducible bit for bit.
+// Table finalizes Figure 7a: the rows with at least minPerVersion
+// connections in each family, in country order, plus the
+// through-origin regression slope (paper: 0.92).
 func (a *IPVersionAgg) Table() ([]VersionComparison, float64) {
-	countries := make([]string, 0, len(a.byCountry))
-	for c := range a.byCountry {
-		countries = append(countries, c)
-	}
-	sort.Strings(countries)
+	rows, slope := familyRows(&a.t, a.param)
 	var out []VersionComparison
-	var xs, ys []float64
-	for _, c := range countries {
-		v := a.byCountry[c]
-		if v.V4Total < a.minPerVersion || v.V6Total < a.minPerVersion {
-			continue
-		}
-		out = append(out, *v)
-		xs = append(xs, stats.Percent(v.V4Share()))
-		ys = append(ys, stats.Percent(v.V6Share()))
+	for _, f := range rows {
+		out = append(out, VersionComparison{f.country, f.total[0], f.matched[0], f.total[1], f.matched[1]})
 	}
-	return out, stats.SlopeThroughOrigin(xs, ys)
+	return out, slope
 }
 
 // VersionTable pairs Table's results for Finalize.
@@ -579,89 +518,45 @@ func (a *IPVersionAgg) Finalize() any {
 	return VersionTable{Rows: rows, Slope: slope}
 }
 
-// ---------------------------------------------------------------------
-// Figure 7b: TLS vs HTTP
-
-// ProtocolAgg incrementally computes ProtocolCompare. The minPerProto
-// row filter is fixed at construction.
+// ProtocolAgg incrementally computes Figure 7b: per country, TLS and
+// HTTP records without and with a Post-ACK/Post-PSH match. The
+// minPerProto row filter is fixed at construction.
 type ProtocolAgg struct {
-	minPerProto int
-	byCountry   map[string]*ProtocolComparison
+	tableAgg[string] // param: minPerProto
 }
 
 // NewProtocolAgg returns an empty Figure 7b aggregator.
 func NewProtocolAgg(minPerProto int) *ProtocolAgg {
-	return &ProtocolAgg{minPerProto: minPerProto, byCountry: map[string]*ProtocolComparison{}}
+	return &ProtocolAgg{newTableAgg(tagProtocol, &countryKeys, 4, "minPerProto", minPerProto)}
 }
 
 func (a *ProtocolAgg) Add(r *Record) {
 	if r.Country == "" || r.Res.Protocol == core.ProtoUnknown {
 		return
 	}
-	p := a.byCountry[r.Country]
-	if p == nil {
-		p = &ProtocolComparison{Country: r.Country}
-		a.byCountry[r.Country] = p
-	}
-	st := r.Res.Signature.Stage()
-	m := st == core.StagePostPSH || st == core.StagePostACK
+	fam := 1
 	if r.Res.Protocol == core.ProtoTLS {
-		p.TLSTotal++
-		if m {
-			p.TLSM++
-		}
-	} else {
-		p.HTTPTotal++
-		if m {
-			p.HTTPM++
-		}
+		fam = 0
 	}
+	a.t.add(r.Country, 2*fam+matchCell(PostACKPSHMatch(r)))
 }
 
 func (a *ProtocolAgg) Merge(other Aggregator) error {
-	o, ok := other.(*ProtocolAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	if o.minPerProto != a.minPerProto {
-		return fmt.Errorf("analysis: cannot merge minPerProto=%d into minPerProto=%d",
-			o.minPerProto, a.minPerProto)
-	}
-	for c, op := range o.byCountry {
-		p := a.byCountry[c]
-		if p == nil {
-			cp := *op
-			a.byCountry[c] = &cp
-			continue
-		}
-		p.TLSTotal += op.TLSTotal
-		p.TLSM += op.TLSM
-		p.HTTPTotal += op.HTTPTotal
-		p.HTTPM += op.HTTPM
-	}
-	return nil
+	return mergeSame(a, other, func(o *ProtocolAgg) error { return a.fold(&o.tableAgg) })
 }
 
-// Table finalizes Figure 7b, with the slope inputs in sorted country
-// order (see IPVersionAgg.Table).
+// Table finalizes Figure 7b over Post-PSH-visible signatures: the rows
+// with at least minPerProto connections per protocol, with the
+// through-origin slope of HTTP share regressed on TLS share (paper:
+// ≈0.3, i.e. TLS more tampered, with Turkmenistan the HTTP-only
+// outlier).
 func (a *ProtocolAgg) Table() ([]ProtocolComparison, float64) {
-	countries := make([]string, 0, len(a.byCountry))
-	for c := range a.byCountry {
-		countries = append(countries, c)
-	}
-	sort.Strings(countries)
+	rows, slope := familyRows(&a.t, a.param)
 	var out []ProtocolComparison
-	var xs, ys []float64
-	for _, c := range countries {
-		p := a.byCountry[c]
-		if p.TLSTotal < a.minPerProto || p.HTTPTotal < a.minPerProto {
-			continue
-		}
-		out = append(out, *p)
-		xs = append(xs, stats.Percent(p.TLSShare()))
-		ys = append(ys, stats.Percent(p.HTTPShare()))
+	for _, f := range rows {
+		out = append(out, ProtocolComparison{f.country, f.total[0], f.matched[0], f.total[1], f.matched[1]})
 	}
-	return out, stats.SlopeThroughOrigin(xs, ys)
+	return out, slope
 }
 
 // ProtocolTable pairs Table's results for Finalize.
@@ -678,12 +573,11 @@ func (a *ProtocolAgg) Finalize() any {
 // ---------------------------------------------------------------------
 // Figures 2, 3: evidence CDFs
 
-// EvidenceAgg incrementally computes ComputeEvidenceCDFs. Where the
-// batch path sampled the *first* capPerSig connections per signature —
-// an order-dependent choice that would break shard parity — the
-// aggregator keeps a deterministic bottom-k-by-hash sample
-// (stats.Sketch) keyed by the record's identity, so the retained
-// sample is a pure function of the record multiset.
+// EvidenceAgg incrementally computes the Figure 2/3 evidence CDFs. It
+// samples up to capPerSig connections per signature with a
+// deterministic bottom-k-by-hash sketch (stats.Sketch) keyed by the
+// record's identity — never the order-dependent first capPerSig — so
+// the retained sample is a pure function of the record multiset.
 type EvidenceAgg struct {
 	capPerSig int
 	ipid      map[core.Signature]*stats.Sketch
@@ -791,14 +685,14 @@ func (a *EvidenceAgg) Finalize() any { return a.CDFs() }
 // ---------------------------------------------------------------------
 // §4.2 scanner fingerprints
 
-// ScannerAgg incrementally computes ComputeScannerStats from records
-// alone (Record carries DstPort, so the original connections are no
-// longer needed). It additionally tracks the §5.1 companion counters:
+// ScannerAgg incrementally computes the §4.2 scanner fingerprints from
+// records alone (Record carries DstPort). Port-80 SYNs are counted per
+// day, without and with payload, and the port-80 totals derive from
+// those cells. It additionally tracks the §5.1 companion counters:
 // total tampering matches and the Post-ACK/Post-PSH subset.
 type ScannerAgg struct {
-	s          ScannerStats
-	dayPayload map[int]int
-	daySYNs    map[int]int
+	tableAgg[int] // per day
+	s             ScannerStats
 	// TamperingMatches and PostACKPSHMatches serve the §5.1
 	// "Post-ACK/Post-PSH share of matches" statistic.
 	TamperingMatches  int
@@ -807,7 +701,16 @@ type ScannerAgg struct {
 
 // NewScannerAgg returns an empty §4.2 aggregator.
 func NewScannerAgg() *ScannerAgg {
-	return &ScannerAgg{dayPayload: map[int]int{}, daySYNs: map[int]int{}}
+	return &ScannerAgg{tableAgg: newTableAgg(tagScanner, &intKeys, 2, "", 0)}
+}
+
+// counters lists the scalar counters, in wire order.
+func (a *ScannerAgg) counters() [9]*int {
+	return [9]*int{
+		&a.s.Total, &a.s.HighTTL, &a.s.NoSYNOptions, &a.s.SYNRSTMatches,
+		&a.s.SYNRSTZMap, &a.s.SYNPayload443, &a.s.Port443SYNs,
+		&a.TamperingMatches, &a.PostACKPSHMatches,
+	}
 }
 
 func (a *ScannerAgg) Add(r *Record) {
@@ -833,12 +736,7 @@ func (a *ScannerAgg) Add(r *Record) {
 	}
 	switch r.DstPort {
 	case 80:
-		a.s.Port80SYNs++
-		a.daySYNs[r.Hour/24]++
-		if ev.SYNPayloadLen > 0 {
-			a.s.SYNPayload80++
-			a.dayPayload[r.Hour/24]++
-		}
+		a.t.add(r.Hour/24, matchCell(ev.SYNPayloadLen > 0))
 	case 443:
 		a.s.Port443SYNs++
 		if ev.SYNPayloadLen > 0 {
@@ -848,49 +746,30 @@ func (a *ScannerAgg) Add(r *Record) {
 }
 
 func (a *ScannerAgg) Merge(other Aggregator) error {
-	o, ok := other.(*ScannerAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	a.s.Total += o.s.Total
-	a.s.HighTTL += o.s.HighTTL
-	a.s.NoSYNOptions += o.s.NoSYNOptions
-	a.s.SYNRSTMatches += o.s.SYNRSTMatches
-	a.s.SYNRSTZMap += o.s.SYNRSTZMap
-	a.s.SYNPayload80 += o.s.SYNPayload80
-	a.s.Port80SYNs += o.s.Port80SYNs
-	a.s.SYNPayload443 += o.s.SYNPayload443
-	a.s.Port443SYNs += o.s.Port443SYNs
-	a.TamperingMatches += o.TamperingMatches
-	a.PostACKPSHMatches += o.PostACKPSHMatches
-	for d, n := range o.dayPayload {
-		a.dayPayload[d] += n
-	}
-	for d, n := range o.daySYNs {
-		a.daySYNs[d] += n
-	}
-	return nil
+	return mergeSame(a, other, func(o *ScannerAgg) error {
+		oc := o.counters()
+		for i, p := range a.counters() {
+			*p += *oc[i]
+		}
+		return a.fold(&o.tableAgg)
+	})
 }
 
 // Stats finalizes the §4.2 numbers. PeakDay scans days in ascending
 // order with a strict comparison, so ties resolve to the earliest day
-// regardless of map iteration order.
+// regardless of insertion order.
 func (a *ScannerAgg) Stats() ScannerStats {
 	s := a.s
 	s.PeakDay = -1
-	s.PeakDayShare = 0
-	days := make([]int, 0, len(a.daySYNs))
-	for d := range a.daySYNs {
-		days = append(days, d)
-	}
-	sort.Ints(days)
-	for _, day := range days {
-		n := a.daySYNs[day]
+	for _, day := range a.t.order(cmp.Less[int]) {
+		row := a.t.rows[day]
+		n := row[cellUnmatched] + row[cellMatched]
+		s.Port80SYNs += n
+		s.SYNPayload80 += row[cellMatched]
 		if n < 50 {
 			continue
 		}
-		share := float64(a.dayPayload[day]) / float64(n)
-		if share > s.PeakDayShare {
+		if share := float64(row[cellMatched]) / float64(n); share > s.PeakDayShare {
 			s.PeakDayShare = share
 			s.PeakDay = day
 		}

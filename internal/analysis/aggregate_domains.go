@@ -7,13 +7,13 @@ package analysis
 // determinism invariant.
 
 import (
-	"fmt"
 	"sort"
 
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/domains"
 	"tamperdetect/internal/stats"
 	"tamperdetect/internal/testlists"
+	"tamperdetect/internal/wire"
 )
 
 // ---------------------------------------------------------------------
@@ -31,67 +31,61 @@ type DomainCount struct {
 
 type domKey struct{ country, domain string }
 
-// DomainAgg incrementally counts per-(country, domain) sightings and
-// Post-PSH tampering matches — the single state behind
-// ComputeCategoryTable (Table 2), TamperedDomains (§5.5), and
-// ListCoverageTable (Table 3), each a finalize over the same counts.
+var domKeys = keyCodec[domKey]{
+	append: func(b []byte, k domKey) []byte {
+		return wire.AppendString(wire.AppendString(b, k.country), k.domain)
+	},
+	decode: func(d *wire.Decoder) (domKey, error) {
+		return domKey{d.String(maxSnapshotString), d.String(maxSnapshotString)}, d.Err()
+	},
+	minBytes: 2,
+}
+
+// DomainAgg incrementally counts, per (country, domain), sightings
+// without and with a Post-PSH/Post-Data tampering match — the single
+// state behind Table 2 (CategoryTable), the §5.5 observation set
+// (TamperedDomains) and Table 3 (ListCoverage), each a finalize over
+// the same counts.
 type DomainAgg struct {
-	counts map[domKey]*DomainCount
+	tableAgg[domKey]
 }
 
 // NewDomainAgg returns an empty per-domain aggregator.
 func NewDomainAgg() *DomainAgg {
-	return &DomainAgg{counts: map[domKey]*DomainCount{}}
+	return &DomainAgg{newTableAgg(tagDomain, &domKeys, 2, "", 0)}
 }
 
 func (a *DomainAgg) Add(r *Record) {
 	if r.Res.Domain == "" {
 		return
 	}
-	k := domKey{country: r.Country, domain: r.Res.Domain}
-	c := a.counts[k]
-	if c == nil {
-		c = &DomainCount{Country: k.country, Domain: k.domain}
-		a.counts[k] = c
-	}
-	c.Sightings++
 	st := r.Res.Signature.Stage()
-	if r.Res.Signature.IsTampering() && (st == core.StagePostPSH || st == core.StagePostData) {
-		c.Matches++
-	}
+	m := r.Res.Signature.IsTampering() && (st == core.StagePostPSH || st == core.StagePostData)
+	a.t.add(domKey{country: r.Country, domain: r.Res.Domain}, matchCell(m))
 }
 
 func (a *DomainAgg) Merge(other Aggregator) error {
-	o, ok := other.(*DomainAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	for k, oc := range o.counts {
-		c := a.counts[k]
-		if c == nil {
-			cp := *oc
-			a.counts[k] = &cp
-			continue
-		}
-		c.Sightings += oc.Sightings
-		c.Matches += oc.Matches
-	}
-	return nil
+	return mergeSame(a, other, func(o *DomainAgg) error { return a.fold(&o.tableAgg) })
 }
 
 // Finalize returns the per-(country, domain) counts sorted by
 // (country, domain).
 func (a *DomainAgg) Finalize() any {
-	out := make([]DomainCount, 0, len(a.counts))
-	for _, c := range a.counts {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Country != out[j].Country {
-			return out[i].Country < out[j].Country
+	out := make([]DomainCount, 0, len(a.t.rows))
+	for _, k := range a.t.order(func(x, y domKey) bool {
+		if x.country != y.country {
+			return x.country < y.country
 		}
-		return out[i].Domain < out[j].Domain
-	})
+		return x.domain < y.domain
+	}) {
+		row := a.t.rows[k]
+		out = append(out, DomainCount{
+			Country:   k.country,
+			Domain:    k.domain,
+			Sightings: row[cellUnmatched] + row[cellMatched],
+			Matches:   row[cellMatched],
+		})
+	}
 	return out
 }
 
@@ -100,12 +94,12 @@ func (a *DomainAgg) Finalize() any {
 func (a *DomainAgg) regionCounts(region string) (matches, sightings map[string]int) {
 	matches = map[string]int{}
 	sightings = map[string]int{}
-	for k, c := range a.counts {
+	for k, row := range a.t.rows {
 		if region != "" && k.country != region {
 			continue
 		}
-		sightings[k.domain] += c.Sightings
-		matches[k.domain] += c.Matches
+		sightings[k.domain] += row[cellUnmatched] + row[cellMatched]
+		matches[k.domain] += row[cellMatched]
 	}
 	return matches, sightings
 }
@@ -248,15 +242,14 @@ type pairObs struct {
 	sig  core.Signature
 }
 
-// OverlapAgg incrementally computes ComputeOverlapMatrix. It retains
-// one (time, signature) observation per axis-relevant record of every
+// OverlapAgg incrementally computes Figure 10. It retains one
+// (time, signature) observation per axis-relevant record of every
 // (client, domain) pair and sorts each pair's observations by
 // (time, signature) at finalize, so the transition counts are a pure
-// function of the record multiset — the batch path's silent dependence
-// on per-pair temporal input order is gone, and unordered sinks or
-// shuffled inputs produce the identical matrix. State is bounded by
-// the number of domain-visible observations on the Figure 10 axes
-// (Not-Tampering and Post-PSH signatures), not by capture size.
+// function of the record multiset: unordered sinks or shuffled inputs
+// produce the identical matrix. State is bounded by the number of
+// domain-visible observations on the Figure 10 axes (Not-Tampering and
+// Post-PSH signatures), not by capture size.
 type OverlapAgg struct {
 	axisIdx map[core.Signature]int
 	obs     map[pairKey][]pairObs
@@ -336,121 +329,101 @@ func (a *OverlapAgg) Finalize() any { return a.Matrix() }
 // ---------------------------------------------------------------------
 // §6 stability
 
-type hourCount struct {
-	all   int
-	total int
-	sig   [core.NumSignatures]int
+type countryHour struct {
+	country string
+	hour    int
 }
 
-// StabilityAgg incrementally computes StabilityReport. The batch path
-// needs two passes (the half-window split depends on the maximum hour
-// seen); the aggregator instead keeps per-(country, hour) signature
-// counts and folds them into halves at finalize.
+var countryHourKeys = keyCodec[countryHour]{
+	append: func(b []byte, k countryHour) []byte {
+		return wire.AppendVarint(wire.AppendString(b, k.country), int64(k.hour))
+	},
+	decode: func(d *wire.Decoder) (countryHour, error) {
+		return countryHour{d.String(maxSnapshotString), int(d.Varint())}, d.Err()
+	},
+	minBytes: 2,
+}
+
+// StabilityAgg incrementally computes the §6 comparison: per
+// (country, hour), one cell per signature. The half-window split
+// depends on the maximum hour seen, so the hours fold into halves at
+// finalize; span covers every record, including the country-less ones
+// that add no row.
 type StabilityAgg struct {
-	minPerHalf int
-	maxHour    int
-	any        bool
-	byCountry  map[string]map[int]*hourCount
+	tableAgg[countryHour] // param: minPerHalf
+	// span is one past the largest hour seen (hours before 0 count as
+	// 0), and 0 until the first record.
+	span int
 }
 
 // NewStabilityAgg returns an empty §6 aggregator with the given
 // per-half inclusion threshold.
 func NewStabilityAgg(minPerHalf int) *StabilityAgg {
-	return &StabilityAgg{minPerHalf: minPerHalf, byCountry: map[string]map[int]*hourCount{}}
+	return &StabilityAgg{tableAgg: newTableAgg(tagStability, &countryHourKeys, numSigs, "minPerHalf", minPerHalf)}
 }
 
 func (a *StabilityAgg) Add(r *Record) {
-	a.any = true
-	if r.Hour > a.maxHour {
-		a.maxHour = r.Hour
-	}
-	if r.Country == "" {
-		return
-	}
-	hours := a.byCountry[r.Country]
-	if hours == nil {
-		hours = map[int]*hourCount{}
-		a.byCountry[r.Country] = hours
-	}
-	h := hours[r.Hour]
-	if h == nil {
-		h = &hourCount{}
-		hours[r.Hour] = h
-	}
-	h.all++
-	if r.Res.Signature.IsTampering() {
-		h.sig[r.Res.Signature]++
-		h.total++
+	a.span = max(a.span, r.Hour+1, 1)
+	if r.Country != "" {
+		a.t.add(countryHour{r.Country, r.Hour}, int(r.Res.Signature))
 	}
 }
 
 func (a *StabilityAgg) Merge(other Aggregator) error {
-	o, ok := other.(*StabilityAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	if o.minPerHalf != a.minPerHalf {
-		return fmt.Errorf("analysis: cannot merge minPerHalf=%d into minPerHalf=%d",
-			o.minPerHalf, a.minPerHalf)
-	}
-	a.any = a.any || o.any
-	if o.maxHour > a.maxHour {
-		a.maxHour = o.maxHour
-	}
-	for c, ohours := range o.byCountry {
-		hours := a.byCountry[c]
-		if hours == nil {
-			hours = map[int]*hourCount{}
-			a.byCountry[c] = hours
+	return mergeSame(a, other, func(o *StabilityAgg) error {
+		if err := a.fold(&o.tableAgg); err != nil {
+			return err
 		}
-		for hr, oh := range ohours {
-			h := hours[hr]
-			if h == nil {
-				h = &hourCount{}
-				hours[hr] = h
-			}
-			h.all += oh.all
-			h.total += oh.total
-			for sig := range h.sig {
-				h.sig[sig] += oh.sig[sig]
-			}
-		}
-	}
-	return nil
+		a.span = max(a.span, o.span)
+		return nil
+	})
 }
 
-// Report finalizes the §6 comparison, sorted by ascending similarity.
+// Report finalizes the §6 comparison: the signature mixes of the
+// window's first and second halves for countries with at least
+// minPerHalf tampered connections in each half, sorted by ascending
+// similarity (least stable first).
 func (a *StabilityAgg) Report() []StabilityRow {
-	if !a.any {
+	if a.span == 0 {
 		return nil
 	}
-	split := a.maxHour / 2
-	var out []StabilityRow
-	for country, hours := range a.byCountry {
-		var sig [2][core.NumSignatures]int
-		var total, all [2]int
-		for hr, h := range hours {
-			half := 0
-			if hr > split {
-				half = 1
-			}
-			all[half] += h.all
-			total[half] += h.total
-			for s := range h.sig {
-				sig[half][s] += h.sig[s]
+	split := (a.span - 1) / 2
+	type halves struct {
+		sig        [2][core.NumSignatures]int
+		total, all [2]int
+	}
+	byCountry := map[string]*halves{}
+	for k, row := range a.t.rows {
+		h := byCountry[k.country]
+		if h == nil {
+			h = &halves{}
+			byCountry[k.country] = h
+		}
+		half := 0
+		if k.hour > split {
+			half = 1
+		}
+		for sig, n := range row {
+			h.all[half] += n
+			if core.Signature(sig).IsTampering() {
+				h.sig[half][sig] += n
+				h.total[half] += n
 			}
 		}
-		if total[0] < a.minPerHalf || total[1] < a.minPerHalf {
+	}
+	var out []StabilityRow
+	for country, h := range byCountry {
+		if h.total[0] < a.param || h.total[1] < a.param {
 			continue
 		}
 		row := StabilityRow{
 			Country:     country,
-			FirstTotal:  total[0],
-			SecondTotal: total[1],
-			Cosine:      cosine(sig[0][:], sig[1][:]),
+			FirstTotal:  h.total[0],
+			SecondTotal: h.total[1],
+			Cosine:      cosine(h.sig[0][:], h.sig[1][:]),
 		}
-		r0 := stats.Ratio(total[0], all[0])
-		r1 := stats.Ratio(total[1], all[1])
+		r0 := stats.Ratio(h.total[0], h.all[0])
+		r1 := stats.Ratio(h.total[1], h.all[1])
 		if r1 > r0 {
 			row.RateDelta = r1 - r0
 		} else {
@@ -473,15 +446,14 @@ func (a *StabilityAgg) Finalize() any { return a.Report() }
 // Robustness false-positive matrix
 
 // RobustnessAgg incrementally computes one impairment grade's cell of
-// the robustness matrix (TallyRobustness). Merge models the same grade
-// observed at several PoPs, so grade labels must match.
+// the robustness matrix from a tamper-free run's verdicts: one count
+// per signature, so the false positives, the anomalous and clean
+// verdicts, and the total all derive from disjoint cells. Merge models
+// the same grade observed at several PoPs, so grade labels must match.
 type RobustnessAgg struct {
 	grade         string
 	effectiveLoss float64
-	total         int
-	fps           [core.NumSignatures]int
-	anomalous     int
-	notTampering  int
+	c             [numSigs]int
 }
 
 // NewRobustnessAgg returns an empty aggregator for one grade.
@@ -489,33 +461,16 @@ func NewRobustnessAgg(grade string, effectiveLoss float64) *RobustnessAgg {
 	return &RobustnessAgg{grade: grade, effectiveLoss: effectiveLoss}
 }
 
-func (a *RobustnessAgg) Add(r *Record) {
-	a.total++
-	switch sig := r.Res.Signature; {
-	case sig.IsTampering():
-		a.fps[sig]++
-	case sig == core.SigOtherAnomalous:
-		a.anomalous++
-	default:
-		a.notTampering++
-	}
-}
+func (a *RobustnessAgg) Add(r *Record) { a.c[r.Res.Signature]++ }
 
 func (a *RobustnessAgg) Merge(other Aggregator) error {
-	o, ok := other.(*RobustnessAgg)
-	if !ok {
-		return mismatch(a, other)
-	}
-	if o.grade != a.grade {
-		return fmt.Errorf("analysis: cannot merge robustness grade %q into %q", o.grade, a.grade)
-	}
-	a.total += o.total
-	a.anomalous += o.anomalous
-	a.notTampering += o.notTampering
-	for sig := range a.fps {
-		a.fps[sig] += o.fps[sig]
-	}
-	return nil
+	return mergeSame(a, other, func(o *RobustnessAgg) error {
+		if o.grade != a.grade {
+			return paramMismatch("grade", o.grade, a.grade)
+		}
+		addCells(a.c[:], o.c[:])
+		return nil
+	})
 }
 
 // Grade finalizes the cell.
@@ -523,14 +478,14 @@ func (a *RobustnessAgg) Grade() RobustnessGrade {
 	g := RobustnessGrade{
 		Grade:          a.grade,
 		EffectiveLoss:  a.effectiveLoss,
-		Total:          a.total,
+		Total:          sumCells(a.c[:]),
 		FalsePositives: make(map[core.Signature]int),
-		Anomalous:      a.anomalous,
-		NotTampering:   a.notTampering,
+		Anomalous:      a.c[core.SigOtherAnomalous],
+		NotTampering:   a.c[core.SigNotTampering],
 	}
-	for sig, n := range a.fps {
-		if n > 0 {
-			g.FalsePositives[core.Signature(sig)] = n
+	for _, sig := range core.AllSignatures() {
+		if n := a.c[sig]; n > 0 {
+			g.FalsePositives[sig] = n
 		}
 	}
 	return g

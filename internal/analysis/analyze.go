@@ -7,9 +7,7 @@
 package analysis
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"tamperdetect/internal/capture"
 	"tamperdetect/internal/core"
@@ -40,8 +38,8 @@ type Record struct {
 // NewRecord builds one aggregation record from a classified
 // connection, attaching country/AS via the geo resolver — exactly the
 // paper's pipeline: aggregation keys come only from the source
-// address. It is the single-record form of Analyze, used by streaming
-// classification sinks; those pass a per-worker *geo.Cache so the
+// address. Every aggregation path builds its records with it;
+// streaming classification sinks pass a per-worker *geo.Cache so the
 // per-record resolution skips the binary search.
 func NewRecord(c *capture.Connection, db geo.Resolver, res core.Result) Record {
 	rec := Record{
@@ -60,33 +58,6 @@ func NewRecord(c *capture.Connection, db geo.Resolver, res core.Result) Record {
 		rec.Hour = int(rec.Time / 3600)
 	}
 	return rec
-}
-
-// Analyze classifies every connection (in parallel) and attaches
-// country/AS via the geo database.
-func Analyze(conns []*capture.Connection, db *geo.DB, cl *core.Classifier, workers int) []Record {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]Record, len(conns))
-	var wg sync.WaitGroup
-	ch := make(chan int, 256)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				c := conns[i]
-				out[i] = NewRecord(c, db, cl.Classify(c))
-			}
-		}()
-	}
-	for i := range conns {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	return out
 }
 
 // StageStats is the §4.1 headline breakdown (Table 1's narrative).
@@ -126,19 +97,6 @@ func (s *StageStats) StageCoverage(st core.Stage) float64 {
 	return stats.Ratio(s.StageMatched[st], s.StageCounts[st])
 }
 
-// ComputeStageStats builds the §4.1 breakdown. The stage of unmatched
-// possibly-tampered connections is derived from how far the canonical
-// prefix got: the classifier reports StageOther for those, except
-// Post-Data timeouts which it attributes to Post-Data with no match —
-// the aggregator counts by the connection's classified stage.
-func ComputeStageStats(recs []Record) StageStats {
-	a := NewStageStatsAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Stats()
-}
-
 // CountryDistribution is Figure 4: per country, the share of
 // connections per signature (and not tampering).
 type CountryDistribution struct {
@@ -161,16 +119,6 @@ func (c *CountryDistribution) TamperedShare() float64 {
 // SignatureShare is the country share matching one signature.
 func (c *CountryDistribution) SignatureShare(sig core.Signature) float64 {
 	return stats.Ratio(c.BySignature[sig], c.Total)
-}
-
-// SignatureByCountry computes Figure 4 for every country present,
-// sorted by descending tampered share.
-func SignatureByCountry(recs []Record) []CountryDistribution {
-	a := NewSignatureByCountryAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Table()
 }
 
 // SignatureComposition is Figure 1: for one signature, which countries
@@ -213,15 +161,6 @@ func (s *SignatureComposition) TopCountries(n int) []string {
 	return out
 }
 
-// CountryBySignature computes Figure 1 for all 19 signatures.
-func CountryBySignature(recs []Record) []SignatureComposition {
-	a := NewCountryBySignatureAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Table()
-}
-
 // ASNStat is one AS's row in Figure 5.
 type ASNStat struct {
 	ASN          uint32
@@ -232,17 +171,6 @@ type ASNStat struct {
 
 // MatchShare is the AS's tampering match proportion.
 func (a *ASNStat) MatchShare() float64 { return stats.Ratio(a.Matched, a.Total) }
-
-// ASNView computes Figure 5 for one country: the per-AS match
-// proportions among the top ASes carrying 80% of the country's
-// connections, ordered by traffic share.
-func ASNView(recs []Record, country string) []ASNStat {
-	a := NewASNViewAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.View(country)
-}
 
 // SpreadOfASNView measures Figure 5's key contrast: the range (max-min)
 // of match shares across a country's major ASes — small for
@@ -274,17 +202,6 @@ type SeriesPoint struct {
 // Share is the bucket's match proportion.
 func (p SeriesPoint) Share() float64 { return stats.Ratio(p.Matched, p.Total) }
 
-// TimeSeries computes a match-share series bucketed by hour, counting
-// records that pass the filter as matched (Figures 6, 8, 9 use
-// different filters).
-func TimeSeries(recs []Record, bucketHours int, include func(*Record) bool, matched func(*Record) bool) []SeriesPoint {
-	a := NewTimeSeriesAgg(bucketHours, include, matched)
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Series()
-}
-
 // PostACKPSHMatch is the Figure 6/7 matched-predicate: Post-ACK or
 // Post-PSH signatures only (§4.2 robustness restriction).
 func PostACKPSHMatch(r *Record) bool { return r.Res.Signature.PostACKOrPSH() }
@@ -304,17 +221,6 @@ type VersionComparison struct {
 func (v *VersionComparison) V4Share() float64 { return stats.Ratio(v.V4M, v.V4Total) }
 func (v *VersionComparison) V6Share() float64 { return stats.Ratio(v.V6M, v.V6Total) }
 
-// IPVersionCompare computes Figure 7a, returning rows for countries
-// with at least minPerVersion connections in each family, plus the
-// through-origin regression slope (paper: 0.92).
-func IPVersionCompare(recs []Record, minPerVersion int) ([]VersionComparison, float64) {
-	a := NewIPVersionAgg(minPerVersion)
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Table()
-}
-
 // ProtocolComparison is Figure 7b: per-country Post-PSH match shares
 // for TLS vs HTTP.
 type ProtocolComparison struct {
@@ -327,18 +233,6 @@ type ProtocolComparison struct {
 func (p *ProtocolComparison) TLSShare() float64  { return stats.Ratio(p.TLSM, p.TLSTotal) }
 func (p *ProtocolComparison) HTTPShare() float64 { return stats.Ratio(p.HTTPM, p.HTTPTotal) }
 
-// ProtocolCompare computes Figure 7b over Post-PSH signatures (where
-// the trigger is visible), with the through-origin slope of HTTP share
-// regressed on TLS share (paper: ≈0.3, i.e. TLS more tampered, with
-// Turkmenistan the HTTP-only outlier).
-func ProtocolCompare(recs []Record, minPerProto int) ([]ProtocolComparison, float64) {
-	a := NewProtocolAgg(minPerProto)
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Table()
-}
-
 // EvidenceCDFs holds the Figure 2 and Figure 3 distributions: per
 // signature (plus the Not-Tampering baseline), the CDF of the maximum
 // IP-ID delta (IPv4 only) and maximum TTL delta.
@@ -347,18 +241,6 @@ type EvidenceCDFs struct {
 	// the baseline.
 	IPID map[core.Signature]*stats.CDF
 	TTL  map[core.Signature]*stats.CDF
-}
-
-// ComputeEvidenceCDFs samples up to capPerSig connections per
-// signature (the paper uses 1 000), via EvidenceAgg's deterministic
-// bottom-k-by-hash sample — a pure function of the record multiset,
-// where earlier versions kept the order-dependent first capPerSig.
-func ComputeEvidenceCDFs(recs []Record, capPerSig int) EvidenceCDFs {
-	a := NewEvidenceAgg(capPerSig)
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.CDFs()
 }
 
 // ScannerStats are the §4.2 threat-to-validity numbers.
@@ -376,20 +258,4 @@ type ScannerStats struct {
 	// of payload-carrying port-80 SYNs (§4.1's surge observation).
 	PeakDay      int
 	PeakDayShare float64
-}
-
-// ComputeScannerStats tallies the scanner fingerprints. Records built
-// by NewRecord carry the destination port; conns, when non-empty,
-// overrides it positionally for callers with records from older
-// sources.
-func ComputeScannerStats(recs []Record, conns []*capture.Connection) ScannerStats {
-	a := NewScannerAgg()
-	for i := range recs {
-		r := recs[i]
-		if i < len(conns) {
-			r.DstPort = conns[i].DstPort
-		}
-		a.Add(&r)
-	}
-	return a.Stats()
 }

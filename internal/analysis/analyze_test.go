@@ -29,12 +29,25 @@ func dataset(t *testing.T) ([]*capture.Connection, []Record, *workload.Scenario)
 		}
 		dsScen = s
 		dsConns = s.Run(0)
-		dsRecs = Analyze(dsConns, s.Geo, core.NewClassifier(core.DefaultConfig()), 0)
+		cl := core.NewClassifier(core.DefaultConfig())
+		dsRecs = make([]Record, len(dsConns))
+		for i, c := range dsConns {
+			dsRecs[i] = NewRecord(c, s.Geo, cl.Classify(c))
+		}
 	})
 	if dsScen == nil {
 		t.Fatal("dataset initialization failed")
 	}
 	return dsConns, dsRecs, dsScen
+}
+
+// addAll adds every record to a and returns it: one serial pass, the
+// reference every sharded, streamed and merged path must reproduce.
+func addAll[A Aggregator](a A, recs []Record) A {
+	for i := range recs {
+		a.Add(&recs[i])
+	}
+	return a
 }
 
 func TestAnalyzeAttachesGeo(t *testing.T) {
@@ -52,7 +65,7 @@ func TestAnalyzeAttachesGeo(t *testing.T) {
 
 func TestStageStatsShape(t *testing.T) {
 	_, recs, _ := dataset(t)
-	s := ComputeStageStats(recs)
+	s := addAll(NewStageStatsAgg(), recs).Stats()
 	pt := s.PossiblyTamperedShare()
 	if pt < 0.05 || pt > 0.6 {
 		t.Errorf("possibly tampered share = %.3f, outside plausible band", pt)
@@ -80,7 +93,7 @@ func TestStageStatsShape(t *testing.T) {
 
 func TestSignatureByCountryOrdering(t *testing.T) {
 	_, recs, _ := dataset(t)
-	ds := SignatureByCountry(recs)
+	ds := addAll(NewSignatureByCountryAgg(), recs).Table()
 	if len(ds) < 30 {
 		t.Fatalf("only %d countries", len(ds))
 	}
@@ -122,7 +135,7 @@ func TestSignatureByCountryOrdering(t *testing.T) {
 
 func TestCountryBySignatureConcentration(t *testing.T) {
 	_, recs, _ := dataset(t)
-	comps := CountryBySignature(recs)
+	comps := addAll(NewCountryBySignatureAgg(), recs).Table()
 	bySig := map[core.Signature]*SignatureComposition{}
 	for i := range comps {
 		bySig[comps[i].Signature] = &comps[i]
@@ -150,8 +163,9 @@ func TestCountryBySignatureConcentration(t *testing.T) {
 
 func TestASNViewCentralizedVsDecentralized(t *testing.T) {
 	_, recs, _ := dataset(t)
-	cn := ASNView(recs, "CN")
-	ru := ASNView(recs, "RU")
+	asn := addAll(NewASNViewAgg(), recs)
+	cn := asn.View("CN")
+	ru := asn.View("RU")
 	if len(cn) == 0 || len(ru) == 0 {
 		t.Fatal("empty AS views")
 	}
@@ -160,16 +174,16 @@ func TestASNViewCentralizedVsDecentralized(t *testing.T) {
 	if spreadRU <= spreadCN {
 		t.Errorf("RU spread %.3f ≤ CN spread %.3f; decentralization contrast missing", spreadRU, spreadCN)
 	}
-	if v := ASNView(recs, "ZZ"); v != nil {
+	if v := asn.View("ZZ"); v != nil {
 		t.Error("unknown country returned a view")
 	}
 }
 
 func TestTimeSeriesDiurnal(t *testing.T) {
 	_, recs, _ := dataset(t)
-	series := TimeSeries(recs, 1,
+	series := addAll(NewTimeSeriesAgg(1,
 		func(r *Record) bool { return r.Country == "IR" },
-		PostACKPSHMatch)
+		PostACKPSHMatch), recs).Series()
 	if len(series) < 24 {
 		t.Fatalf("only %d hourly buckets", len(series))
 	}
@@ -199,7 +213,7 @@ func TestTimeSeriesDiurnal(t *testing.T) {
 
 func TestIPVersionCompare(t *testing.T) {
 	_, recs, _ := dataset(t)
-	rows, slope := IPVersionCompare(recs, 30)
+	rows, slope := addAll(NewIPVersionAgg(30), recs).Table()
 	if len(rows) < 5 {
 		t.Fatalf("only %d countries with dual-stack volume", len(rows))
 	}
@@ -211,7 +225,7 @@ func TestIPVersionCompare(t *testing.T) {
 
 func TestProtocolCompare(t *testing.T) {
 	_, recs, _ := dataset(t)
-	rows, slope := ProtocolCompare(recs, 20)
+	rows, slope := addAll(NewProtocolAgg(20), recs).Table()
 	if len(rows) < 5 {
 		t.Fatalf("only %d countries", len(rows))
 	}
@@ -231,7 +245,7 @@ func TestProtocolCompare(t *testing.T) {
 
 func TestEvidenceCDFSeparation(t *testing.T) {
 	_, recs, _ := dataset(t)
-	cdfs := ComputeEvidenceCDFs(recs, 1000)
+	cdfs := addAll(NewEvidenceAgg(1000), recs).CDFs()
 	base := cdfs.IPID[core.SigNotTampering]
 	if base == nil || base.Len() == 0 {
 		t.Fatal("no baseline CDF")
@@ -261,11 +275,12 @@ func TestEvidenceCDFSeparation(t *testing.T) {
 
 func TestCategoryTableGlobalAndRegions(t *testing.T) {
 	_, recs, sc := dataset(t)
-	global := ComputeCategoryTable(recs, sc.Universe, "", 2)
+	dom := addAll(NewDomainAgg(), recs)
+	global := dom.CategoryTable(sc.Universe, "", 2)
 	if global.TamperedTotal == 0 || len(global.Rows) < 3 {
 		t.Fatalf("global category table empty: %+v", global)
 	}
-	cn := ComputeCategoryTable(recs, sc.Universe, "CN", 2)
+	cn := dom.CategoryTable(sc.Universe, "CN", 2)
 	if len(cn.Rows) == 0 {
 		t.Fatal("CN category table empty")
 	}
@@ -279,7 +294,7 @@ func TestCategoryTableGlobalAndRegions(t *testing.T) {
 		t.Errorf("CN adult coverage = %.2f, want high", top.Coverage)
 	}
 	// US coverage values are tiny (Table 2: ≤0.6%).
-	us := ComputeCategoryTable(recs, sc.Universe, "US", 2)
+	us := dom.CategoryTable(sc.Universe, "US", 2)
 	for _, row := range us.Top(3) {
 		if row.Coverage > 0.2 {
 			t.Errorf("US %v coverage %.3f, want ≪1", row.Category, row.Coverage)
@@ -304,7 +319,7 @@ func TestListCoverageTable(t *testing.T) {
 	}
 	suite := testlists.BuildSuite(sc.Universe, sensitive, testlists.DefaultBuildConfig())
 	regions := []string{"", "CN", "IN", "RU"}
-	rows := ListCoverageTable(recs, suite, regions, 2)
+	rows := addAll(NewDomainAgg(), recs).ListCoverage(suite, regions, 2)
 	if len(rows) != 16 {
 		t.Fatalf("rows = %d, want 12 lists + 4 union/substring", len(rows))
 	}
@@ -336,7 +351,7 @@ func TestListCoverageTable(t *testing.T) {
 
 func TestOverlapMatrixDiagonal(t *testing.T) {
 	_, recs, _ := dataset(t)
-	m := ComputeOverlapMatrix(recs)
+	m := addAll(NewOverlapAgg(), recs).Matrix()
 	if m.Pairs < 50 {
 		t.Skipf("only %d repeat pairs in dataset", m.Pairs)
 	}
@@ -346,8 +361,8 @@ func TestOverlapMatrixDiagonal(t *testing.T) {
 }
 
 func TestScannerStats(t *testing.T) {
-	conns, recs, _ := dataset(t)
-	s := ComputeScannerStats(recs, conns)
+	_, recs, _ := dataset(t)
+	s := addAll(NewScannerAgg(), recs).Stats()
 	if s.Total == 0 || s.SYNRSTMatches == 0 {
 		t.Fatalf("stats empty: %+v", s)
 	}
@@ -364,49 +379,49 @@ func TestScannerStats(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	conns, recs, sc := dataset(t)
-	if out := RenderStageStats(ComputeStageStats(recs)); !strings.Contains(out, "Possibly tampered") {
+	_, recs, sc := dataset(t)
+	if out := RenderStageStats(addAll(NewStageStatsAgg(), recs).Stats()); !strings.Contains(out, "Possibly tampered") {
 		t.Error("stage stats render empty")
 	}
-	if out := RenderCountryDistribution(SignatureByCountry(recs), 10); !strings.Contains(out, "TM") {
+	if out := RenderCountryDistribution(addAll(NewSignatureByCountryAgg(), recs).Table(), 10); !strings.Contains(out, "TM") {
 		t.Error("country distribution render missing TM")
 	}
-	if out := RenderSignatureComposition(CountryBySignature(recs)); len(out) < 100 {
+	if out := RenderSignatureComposition(addAll(NewCountryBySignatureAgg(), recs).Table()); len(out) < 100 {
 		t.Error("signature composition render too short")
 	}
-	if out := RenderASNView("RU", ASNView(recs, "RU")); !strings.Contains(out, "AS") {
+	if out := RenderASNView("RU", addAll(NewASNViewAgg(), recs).View("RU")); !strings.Contains(out, "AS") {
 		t.Error("ASN view render empty")
 	}
-	series := TimeSeries(recs, 4, nil, AnySignatureMatch)
+	series := addAll(NewTimeSeriesAgg(4, nil, AnySignatureMatch), recs).Series()
 	if out := RenderTimeSeries("global", series); len(out) < 50 {
 		t.Error("time series render too short")
 	}
-	rows, slope := IPVersionCompare(recs, 30)
+	rows, slope := addAll(NewIPVersionAgg(30), recs).Table()
 	if out := RenderVersionComparison(rows, slope); !strings.Contains(out, "slope") {
 		t.Error("version comparison render missing slope")
 	}
-	prows, pslope := ProtocolCompare(recs, 20)
+	prows, pslope := addAll(NewProtocolAgg(20), recs).Table()
 	if out := RenderProtocolComparison(prows, pslope); !strings.Contains(out, "slope") {
 		t.Error("protocol comparison render missing slope")
 	}
-	if out := RenderCategoryTable(ComputeCategoryTable(recs, sc.Universe, "", 2), 3); len(out) < 20 {
+	if out := RenderCategoryTable(addAll(NewDomainAgg(), recs).CategoryTable(sc.Universe, "", 2), 3); len(out) < 20 {
 		t.Error("category table render too short")
 	}
-	cdfs := ComputeEvidenceCDFs(recs, 500)
+	cdfs := addAll(NewEvidenceAgg(500), recs).CDFs()
 	if out := RenderEvidenceCDF("ipid", cdfs.IPID, []float64{1, 100, 1000}); len(out) < 50 {
 		t.Error("evidence CDF render too short")
 	}
-	if out := RenderOverlapMatrix(ComputeOverlapMatrix(recs)); len(out) < 50 {
+	if out := RenderOverlapMatrix(addAll(NewOverlapAgg(), recs).Matrix()); len(out) < 50 {
 		t.Error("overlap matrix render too short")
 	}
-	if out := RenderScannerStats(ComputeScannerStats(recs, conns)); !strings.Contains(out, "ZMap") {
+	if out := RenderScannerStats(addAll(NewScannerAgg(), recs).Stats()); !strings.Contains(out, "ZMap") {
 		t.Error("scanner stats render missing ZMap")
 	}
 }
 
 func TestStabilityReport(t *testing.T) {
 	_, recs, _ := dataset(t)
-	rows := StabilityReport(recs, 20)
+	rows := addAll(NewStabilityAgg(20), recs).Report()
 	if len(rows) < 5 {
 		t.Fatalf("only %d countries with enough volume", len(rows))
 	}
@@ -423,7 +438,7 @@ func TestStabilityReport(t *testing.T) {
 }
 
 func TestStabilityEmpty(t *testing.T) {
-	if rows := StabilityReport(nil, 1); rows != nil {
+	if rows := NewStabilityAgg(1).Report(); rows != nil {
 		t.Error("empty input produced rows")
 	}
 	if MeanStability(nil) != 0 {
@@ -435,7 +450,7 @@ func TestIPVersionDisparities(t *testing.T) {
 	// Figure 7a's named disparities: LK tampers IPv4 ≫ IPv6, KE the
 	// reverse, while the global slope stays near 1.
 	_, recs, _ := dataset(t)
-	rows, _ := IPVersionCompare(recs, 10)
+	rows, _ := addAll(NewIPVersionAgg(10), recs).Table()
 	found := map[string]bool{}
 	for _, r := range rows {
 		switch r.Country {

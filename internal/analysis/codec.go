@@ -9,17 +9,20 @@ package analysis
 // so associativity, commutativity, and multiset determinism transfer
 // unchanged to the distributed rollup.
 //
-// Restoring is strict and bounded for untrusted input (see
-// internal/wire): every count is validated against the bytes actually
-// remaining, every enum index against its range, and construction
-// parameters (bucket widths, thresholds, grade labels) must match the
-// receiver's — the same compatibility contract Merge enforces.
-// Aggregators carrying function-valued parameters (TimeSeriesAgg's
-// predicates) serialize only their counts; the receiver keeps its own
-// predicates, which is why restoring always targets an
-// identically-constructed prototype.
+// Every table-backed aggregator encodes its construction parameter
+// followed by its table (tableAgg in table.go), and the fixed-cell
+// ones their cells; the evidence sketches, overlap observations and
+// time span keep bespoke encodings below. Restoring is strict and
+// bounded for untrusted input (see internal/wire): every count is
+// validated against the bytes actually remaining, every enum index
+// against its range, and construction parameters (bucket widths,
+// thresholds, grade labels) must match the receiver's — the same
+// compatibility contract Merge enforces. Aggregators carrying
+// function-valued parameters (TimeSeriesAgg's predicates) serialize
+// only their counts; the receiver keeps its own predicates, which is
+// why restoring always targets an identically-constructed prototype.
 //
-// Encoding visits maps in sorted key order, so the same aggregator
+// Encoding visits entries in sorted key order, so the same aggregator
 // state always yields the same bytes (handy for tests and content
 // hashing); decoding never depends on entry order.
 
@@ -33,23 +36,26 @@ import (
 )
 
 // Type tags, one per concrete Aggregator. Part of the wire format:
-// never renumber, only append.
+// never renumber or reuse, only append. Tags 1–7, 9, 10, 12 and 13
+// named the encodings that preceded the count table (stored totals
+// beside their counts); a frame or spill file written with them fails
+// to restore with a tag mismatch instead of being misread.
 const (
-	tagStageStats = iota + 1
-	tagSignatureByCountry
-	tagCountryBySignature
-	tagASNView
-	tagTimeSeries
-	tagIPVersion
-	tagProtocol
-	tagEvidence
-	tagScanner
-	tagDomain
-	tagOverlap
-	tagStability
-	tagRobustness
-	tagMulti
-	tagTimeSpan
+	tagEvidence           = 8
+	tagOverlap            = 11
+	tagMulti              = 14
+	tagTimeSpan           = 15
+	tagStageStats         = 16
+	tagSignatureByCountry = 17
+	tagCountryBySignature = 18
+	tagASNView            = 19
+	tagTimeSeries         = 20
+	tagIPVersion          = 21
+	tagProtocol           = 22
+	tagScanner            = 23
+	tagDomain             = 24
+	tagStability          = 25
+	tagRobustness         = 26
 )
 
 // Typed enum sizes as plain ints, for array loops and Len bounds.
@@ -66,89 +72,22 @@ const (
 	maxSnapshotString  = 1 << 12
 )
 
-// aggTag returns the aggregator's wire tag.
-func aggTag(a Aggregator) (byte, error) {
-	switch a.(type) {
-	case *StageStatsAgg:
-		return tagStageStats, nil
-	case *SignatureByCountryAgg:
-		return tagSignatureByCountry, nil
-	case *CountryBySignatureAgg:
-		return tagCountryBySignature, nil
-	case *ASNViewAgg:
-		return tagASNView, nil
-	case *TimeSeriesAgg:
-		return tagTimeSeries, nil
-	case *IPVersionAgg:
-		return tagIPVersion, nil
-	case *ProtocolAgg:
-		return tagProtocol, nil
-	case *EvidenceAgg:
-		return tagEvidence, nil
-	case *ScannerAgg:
-		return tagScanner, nil
-	case *DomainAgg:
-		return tagDomain, nil
-	case *OverlapAgg:
-		return tagOverlap, nil
-	case *StabilityAgg:
-		return tagStability, nil
-	case *RobustnessAgg:
-		return tagRobustness, nil
-	case *TimeSpanAgg:
-		return tagTimeSpan, nil
-	case Multi:
-		return tagMulti, nil
-	}
-	return 0, fmt.Errorf("analysis: no snapshot codec for %T", a)
+// snapshotter is the codec every Aggregator in this package
+// implements: its wire tag, its state encoding, and the decoder that
+// folds an encoded state in.
+type snapshotter interface {
+	tag() byte
+	appendSnapshot(b []byte) ([]byte, error)
+	restoreSnapshot(d *wire.Decoder) error
 }
 
 // AppendSnapshot appends a's wire snapshot (tag + state) to b.
 func AppendSnapshot(b []byte, a Aggregator) ([]byte, error) {
-	tag, err := aggTag(a)
-	if err != nil {
-		return b, err
+	s, ok := a.(snapshotter)
+	if !ok {
+		return b, fmt.Errorf("analysis: no snapshot codec for %T", a)
 	}
-	b = append(b, tag)
-	switch v := a.(type) {
-	case *StageStatsAgg:
-		return v.appendSnapshot(b), nil
-	case *SignatureByCountryAgg:
-		return v.appendSnapshot(b), nil
-	case *CountryBySignatureAgg:
-		return v.appendSnapshot(b), nil
-	case *ASNViewAgg:
-		return v.appendSnapshot(b), nil
-	case *TimeSeriesAgg:
-		return v.appendSnapshot(b), nil
-	case *IPVersionAgg:
-		return v.appendSnapshot(b), nil
-	case *ProtocolAgg:
-		return v.appendSnapshot(b), nil
-	case *EvidenceAgg:
-		return v.appendSnapshot(b), nil
-	case *ScannerAgg:
-		return v.appendSnapshot(b), nil
-	case *DomainAgg:
-		return v.appendSnapshot(b), nil
-	case *OverlapAgg:
-		return v.appendSnapshot(b), nil
-	case *StabilityAgg:
-		return v.appendSnapshot(b), nil
-	case *RobustnessAgg:
-		return v.appendSnapshot(b), nil
-	case *TimeSpanAgg:
-		return v.appendSnapshot(b), nil
-	case Multi:
-		b = wire.AppendUvarint(b, uint64(len(v)))
-		for _, el := range v {
-			if b, err = AppendSnapshot(b, el); err != nil {
-				return b, err
-			}
-		}
-		return b, nil
-	}
-	panic("unreachable")
+	return s.appendSnapshot(append(b, s.tag()))
 }
 
 // RestoreSnapshot decodes one snapshot produced by AppendSnapshot and
@@ -166,84 +105,131 @@ func RestoreSnapshot(data []byte, into Aggregator) error {
 
 // restoreInto decodes one tagged aggregator from d into into.
 func restoreInto(d *wire.Decoder, into Aggregator) error {
-	wantTag, err := aggTag(into)
-	if err != nil {
-		return err
+	s, ok := into.(snapshotter)
+	if !ok {
+		return fmt.Errorf("analysis: no snapshot codec for %T", into)
 	}
 	tag := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if tag != uint64(wantTag) {
-		return fmt.Errorf("analysis: snapshot tag %d does not match receiver %T (tag %d)", tag, into, wantTag)
+	if tag != uint64(s.tag()) {
+		return fmt.Errorf("analysis: snapshot tag %d does not match receiver %T (tag %d)", tag, into, s.tag())
 	}
-	switch v := into.(type) {
-	case *StageStatsAgg:
-		return v.restoreSnapshot(d)
-	case *SignatureByCountryAgg:
-		return v.restoreSnapshot(d)
-	case *CountryBySignatureAgg:
-		return v.restoreSnapshot(d)
-	case *ASNViewAgg:
-		return v.restoreSnapshot(d)
-	case *TimeSeriesAgg:
-		return v.restoreSnapshot(d)
-	case *IPVersionAgg:
-		return v.restoreSnapshot(d)
-	case *ProtocolAgg:
-		return v.restoreSnapshot(d)
-	case *EvidenceAgg:
-		return v.restoreSnapshot(d)
-	case *ScannerAgg:
-		return v.restoreSnapshot(d)
-	case *DomainAgg:
-		return v.restoreSnapshot(d)
-	case *OverlapAgg:
-		return v.restoreSnapshot(d)
-	case *StabilityAgg:
-		return v.restoreSnapshot(d)
-	case *RobustnessAgg:
-		return v.restoreSnapshot(d)
-	case *TimeSpanAgg:
-		return v.restoreSnapshot(d)
-	case Multi:
-		n := d.Uvarint()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if n != uint64(len(v)) {
-			return fmt.Errorf("analysis: snapshot Multi of %d into Multi of %d", n, len(v))
-		}
-		for i := range v {
-			if err := restoreInto(d, v[i]); err != nil {
-				return fmt.Errorf("analysis: Multi element %d: %w", i, err)
-			}
-		}
-		return nil
+	return s.restoreSnapshot(d)
+}
+
+// restoreParam decodes one construction parameter and requires it to
+// equal the receiver's.
+func restoreParam(d *wire.Decoder, name string, want int) error {
+	got := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	panic("unreachable")
+	if got != uint64(want) {
+		return paramMismatch(name, got, want)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------
-// shared helpers
+// Multi
 
-func sortedStrings[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func (m Multi) tag() byte { return tagMulti }
+
+func (m Multi) appendSnapshot(b []byte) ([]byte, error) {
+	b = wire.AppendUvarint(b, uint64(len(m)))
+	var err error
+	for _, el := range m {
+		if b, err = AppendSnapshot(b, el); err != nil {
+			return b, err
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return b, nil
 }
 
-func sortedInts[T any](m map[int]T) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func (m Multi) restoreSnapshot(d *wire.Decoder) error {
+	n := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	sort.Ints(keys)
-	return keys
+	if n != uint64(len(m)) {
+		return fmt.Errorf("analysis: snapshot Multi of %d into Multi of %d", n, len(m))
+	}
+	for i := range m {
+		if err := restoreInto(d, m[i]); err != nil {
+			return fmt.Errorf("analysis: Multi element %d: %w", i, err)
+		}
+	}
+	return nil
 }
+
+// ---------------------------------------------------------------------
+// fixed cells, and the table-backed aggregators with scalars beside the
+// table (the rest take tableAgg's codec as is)
+
+func (a *StageStatsAgg) tag() byte { return tagStageStats }
+
+func (a *StageStatsAgg) appendSnapshot(b []byte) ([]byte, error) {
+	return appendCells(b, a.c[:]), nil
+}
+
+func (a *StageStatsAgg) restoreSnapshot(d *wire.Decoder) error {
+	return restoreCells(d, a.c[:])
+}
+
+func (a *RobustnessAgg) tag() byte { return tagRobustness }
+
+func (a *RobustnessAgg) appendSnapshot(b []byte) ([]byte, error) {
+	b = wire.AppendString(b, a.grade)
+	b = wire.AppendFloat64(b, a.effectiveLoss)
+	return appendCells(b, a.c[:]), nil
+}
+
+func (a *RobustnessAgg) restoreSnapshot(d *wire.Decoder) error {
+	grade := d.String(maxSnapshotString)
+	loss := d.Float64()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if grade != a.grade {
+		return paramMismatch("grade", grade, a.grade)
+	}
+	if loss != a.effectiveLoss {
+		return paramMismatch("effectiveLoss", loss, a.effectiveLoss)
+	}
+	return restoreCells(d, a.c[:])
+}
+
+func (a *ScannerAgg) appendSnapshot(b []byte) ([]byte, error) {
+	for _, p := range a.counters() {
+		b = wire.AppendVarint(b, int64(*p))
+	}
+	return a.tableAgg.appendSnapshot(b)
+}
+
+func (a *ScannerAgg) restoreSnapshot(d *wire.Decoder) error {
+	for _, p := range a.counters() {
+		*p += d.Int()
+	}
+	return a.tableAgg.restoreSnapshot(d)
+}
+
+func (a *StabilityAgg) appendSnapshot(b []byte) ([]byte, error) {
+	b, err := a.tableAgg.appendSnapshot(b)
+	return wire.AppendVarint(b, int64(a.span)), err
+}
+
+func (a *StabilityAgg) restoreSnapshot(d *wire.Decoder) error {
+	if err := a.tableAgg.restoreSnapshot(d); err != nil {
+		return err
+	}
+	a.span = max(a.span, d.Int())
+	return d.Err()
+}
+
+// ---------------------------------------------------------------------
+// bespoke encodings
 
 // decodeSig reads a signature index and validates its range.
 func decodeSig(d *wire.Decoder) (core.Signature, error) {
@@ -255,300 +241,6 @@ func decodeSig(d *wire.Decoder) (core.Signature, error) {
 		return 0, fmt.Errorf("analysis: signature index %d out of range", v)
 	}
 	return core.Signature(v), nil
-}
-
-// appendIntMap appends a map[int]int in sorted key order.
-func appendIntMap(b []byte, m map[int]int) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m)))
-	for _, k := range sortedInts(m) {
-		b = wire.AppendVarint(b, int64(k))
-		b = wire.AppendVarint(b, int64(m[k]))
-	}
-	return b
-}
-
-// restoreIntMap folds an encoded map[int]int into m.
-func restoreIntMap(d *wire.Decoder, m map[int]int) error {
-	n := d.Len(maxSnapshotEntries, 2)
-	for i := 0; i < n; i++ {
-		k := d.Int()
-		v := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		m[k] += v
-	}
-	return d.Err()
-}
-
-// ---------------------------------------------------------------------
-// per-aggregator codecs
-
-func (a *StageStatsAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendVarint(b, int64(a.s.Total))
-	b = wire.AppendVarint(b, int64(a.s.PossiblyTampered))
-	b = wire.AppendVarint(b, int64(a.s.Matched))
-	for st := 0; st < numStages; st++ {
-		b = wire.AppendVarint(b, int64(a.s.StageCounts[st]))
-		b = wire.AppendVarint(b, int64(a.s.StageMatched[st]))
-	}
-	return b
-}
-
-func (a *StageStatsAgg) restoreSnapshot(d *wire.Decoder) error {
-	a.s.Total += d.Int()
-	a.s.PossiblyTampered += d.Int()
-	a.s.Matched += d.Int()
-	for st := 0; st < numStages; st++ {
-		a.s.StageCounts[st] += d.Int()
-		a.s.StageMatched[st] += d.Int()
-	}
-	return d.Err()
-}
-
-func (a *SignatureByCountryAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(a.byCountry)))
-	for _, c := range sortedStrings(a.byCountry) {
-		dst := a.byCountry[c]
-		b = wire.AppendString(b, c)
-		b = wire.AppendVarint(b, int64(dst.Total))
-		for sig := 0; sig < numSigs; sig++ {
-			b = wire.AppendVarint(b, int64(dst.BySignature[sig]))
-		}
-	}
-	return b
-}
-
-func (a *SignatureByCountryAgg) restoreSnapshot(d *wire.Decoder) error {
-	n := d.Len(maxSnapshotEntries, 2+numSigs)
-	for i := 0; i < n; i++ {
-		c := d.String(maxSnapshotString)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		dst := a.byCountry[c]
-		if dst == nil {
-			dst = &CountryDistribution{Country: c}
-			a.byCountry[c] = dst
-		}
-		dst.Total += d.Int()
-		for sig := 0; sig < numSigs; sig++ {
-			dst.BySignature[sig] += d.Int()
-		}
-	}
-	return d.Err()
-}
-
-func (a *CountryBySignatureAgg) appendSnapshot(b []byte) []byte {
-	for sig := 0; sig < numSigs; sig++ {
-		b = wire.AppendVarint(b, int64(a.total[sig]))
-		m := a.byCountry[sig]
-		b = wire.AppendUvarint(b, uint64(len(m)))
-		for _, c := range sortedStrings(m) {
-			b = wire.AppendString(b, c)
-			b = wire.AppendVarint(b, int64(m[c]))
-		}
-	}
-	return b
-}
-
-func (a *CountryBySignatureAgg) restoreSnapshot(d *wire.Decoder) error {
-	for sig := 0; sig < numSigs; sig++ {
-		a.total[sig] += d.Int()
-		n := d.Len(maxSnapshotEntries, 2)
-		for i := 0; i < n; i++ {
-			c := d.String(maxSnapshotString)
-			v := d.Int()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if a.byCountry[sig] == nil {
-				a.byCountry[sig] = map[string]int{}
-			}
-			a.byCountry[sig][c] += v
-		}
-	}
-	return d.Err()
-}
-
-func (a *ASNViewAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(a.total)))
-	for _, c := range sortedStrings(a.total) {
-		b = wire.AppendString(b, c)
-		b = wire.AppendVarint(b, int64(a.total[c]))
-		m := a.byASN[c]
-		asns := make([]uint32, 0, len(m))
-		for asn := range m {
-			asns = append(asns, asn)
-		}
-		sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-		b = wire.AppendUvarint(b, uint64(len(asns)))
-		for _, asn := range asns {
-			acc := m[asn]
-			b = wire.AppendUvarint(b, uint64(asn))
-			b = wire.AppendVarint(b, int64(acc.total))
-			b = wire.AppendVarint(b, int64(acc.matched))
-		}
-	}
-	return b
-}
-
-func (a *ASNViewAgg) restoreSnapshot(d *wire.Decoder) error {
-	n := d.Len(maxSnapshotEntries, 3)
-	for i := 0; i < n; i++ {
-		c := d.String(maxSnapshotString)
-		total := d.Int()
-		nASN := d.Len(maxSnapshotEntries, 3)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		a.total[c] += total
-		m := a.byASN[c]
-		if m == nil {
-			m = map[uint32]*asnAcc{}
-			a.byASN[c] = m
-		}
-		for j := 0; j < nASN; j++ {
-			asn := d.Uvarint()
-			t := d.Int()
-			mt := d.Int()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if asn > 1<<32-1 {
-				return fmt.Errorf("analysis: ASN %d out of range", asn)
-			}
-			acc := m[uint32(asn)]
-			if acc == nil {
-				acc = &asnAcc{}
-				m[uint32(asn)] = acc
-			}
-			acc.total += t
-			acc.matched += mt
-		}
-	}
-	return d.Err()
-}
-
-func (a *TimeSeriesAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(a.bucketHours))
-	b = wire.AppendUvarint(b, uint64(len(a.byBucket)))
-	for _, k := range sortedInts(a.byBucket) {
-		p := a.byBucket[k]
-		b = wire.AppendVarint(b, int64(k))
-		b = wire.AppendVarint(b, int64(p.Total))
-		b = wire.AppendVarint(b, int64(p.Matched))
-	}
-	return b
-}
-
-func (a *TimeSeriesAgg) restoreSnapshot(d *wire.Decoder) error {
-	bh := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if bh != uint64(a.bucketHours) {
-		return fmt.Errorf("analysis: snapshot bucketHours=%d into bucketHours=%d", bh, a.bucketHours)
-	}
-	n := d.Len(maxSnapshotEntries, 3)
-	for i := 0; i < n; i++ {
-		k := d.Int()
-		total := d.Int()
-		matched := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		p := a.byBucket[k]
-		if p == nil {
-			p = &SeriesPoint{Hour: k}
-			a.byBucket[k] = p
-		}
-		p.Total += total
-		p.Matched += matched
-	}
-	return d.Err()
-}
-
-func (a *IPVersionAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(a.minPerVersion))
-	b = wire.AppendUvarint(b, uint64(len(a.byCountry)))
-	for _, c := range sortedStrings(a.byCountry) {
-		v := a.byCountry[c]
-		b = wire.AppendString(b, c)
-		b = wire.AppendVarint(b, int64(v.V4Total))
-		b = wire.AppendVarint(b, int64(v.V4M))
-		b = wire.AppendVarint(b, int64(v.V6Total))
-		b = wire.AppendVarint(b, int64(v.V6M))
-	}
-	return b
-}
-
-func (a *IPVersionAgg) restoreSnapshot(d *wire.Decoder) error {
-	min := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if min != uint64(a.minPerVersion) {
-		return fmt.Errorf("analysis: snapshot minPerVersion=%d into minPerVersion=%d", min, a.minPerVersion)
-	}
-	n := d.Len(maxSnapshotEntries, 5)
-	for i := 0; i < n; i++ {
-		c := d.String(maxSnapshotString)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		v := a.byCountry[c]
-		if v == nil {
-			v = &VersionComparison{Country: c}
-			a.byCountry[c] = v
-		}
-		v.V4Total += d.Int()
-		v.V4M += d.Int()
-		v.V6Total += d.Int()
-		v.V6M += d.Int()
-	}
-	return d.Err()
-}
-
-func (a *ProtocolAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(a.minPerProto))
-	b = wire.AppendUvarint(b, uint64(len(a.byCountry)))
-	for _, c := range sortedStrings(a.byCountry) {
-		p := a.byCountry[c]
-		b = wire.AppendString(b, c)
-		b = wire.AppendVarint(b, int64(p.TLSTotal))
-		b = wire.AppendVarint(b, int64(p.TLSM))
-		b = wire.AppendVarint(b, int64(p.HTTPTotal))
-		b = wire.AppendVarint(b, int64(p.HTTPM))
-	}
-	return b
-}
-
-func (a *ProtocolAgg) restoreSnapshot(d *wire.Decoder) error {
-	min := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if min != uint64(a.minPerProto) {
-		return fmt.Errorf("analysis: snapshot minPerProto=%d into minPerProto=%d", min, a.minPerProto)
-	}
-	n := d.Len(maxSnapshotEntries, 5)
-	for i := 0; i < n; i++ {
-		c := d.String(maxSnapshotString)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		p := a.byCountry[c]
-		if p == nil {
-			p = &ProtocolComparison{Country: c}
-			a.byCountry[c] = p
-		}
-		p.TLSTotal += d.Int()
-		p.TLSM += d.Int()
-		p.HTTPTotal += d.Int()
-		p.HTTPM += d.Int()
-	}
-	return d.Err()
 }
 
 // appendSketchMap appends a per-signature sketch map in signature
@@ -614,20 +306,17 @@ func restoreSketchMap(d *wire.Decoder, m map[core.Signature]*stats.Sketch, k int
 	return d.Err()
 }
 
-func (a *EvidenceAgg) appendSnapshot(b []byte) []byte {
+func (a *EvidenceAgg) tag() byte { return tagEvidence }
+
+func (a *EvidenceAgg) appendSnapshot(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, uint64(a.capPerSig))
 	b = appendSketchMap(b, a.ipid)
-	b = appendSketchMap(b, a.ttl)
-	return b
+	return appendSketchMap(b, a.ttl), nil
 }
 
 func (a *EvidenceAgg) restoreSnapshot(d *wire.Decoder) error {
-	cap := d.Uvarint()
-	if err := d.Err(); err != nil {
+	if err := restoreParam(d, "capPerSig", a.capPerSig); err != nil {
 		return err
-	}
-	if cap != uint64(a.capPerSig) {
-		return fmt.Errorf("analysis: snapshot capPerSig=%d into capPerSig=%d", cap, a.capPerSig)
 	}
 	if err := restoreSketchMap(d, a.ipid, a.capPerSig); err != nil {
 		return err
@@ -635,80 +324,9 @@ func (a *EvidenceAgg) restoreSnapshot(d *wire.Decoder) error {
 	return restoreSketchMap(d, a.ttl, a.capPerSig)
 }
 
-func (a *ScannerAgg) appendSnapshot(b []byte) []byte {
-	for _, v := range []int{
-		a.s.Total, a.s.HighTTL, a.s.NoSYNOptions, a.s.SYNRSTMatches,
-		a.s.SYNRSTZMap, a.s.SYNPayload80, a.s.Port80SYNs,
-		a.s.SYNPayload443, a.s.Port443SYNs,
-		a.TamperingMatches, a.PostACKPSHMatches,
-	} {
-		b = wire.AppendVarint(b, int64(v))
-	}
-	b = appendIntMap(b, a.dayPayload)
-	b = appendIntMap(b, a.daySYNs)
-	return b
-}
+func (a *OverlapAgg) tag() byte { return tagOverlap }
 
-func (a *ScannerAgg) restoreSnapshot(d *wire.Decoder) error {
-	for _, p := range []*int{
-		&a.s.Total, &a.s.HighTTL, &a.s.NoSYNOptions, &a.s.SYNRSTMatches,
-		&a.s.SYNRSTZMap, &a.s.SYNPayload80, &a.s.Port80SYNs,
-		&a.s.SYNPayload443, &a.s.Port443SYNs,
-		&a.TamperingMatches, &a.PostACKPSHMatches,
-	} {
-		*p += d.Int()
-	}
-	if err := restoreIntMap(d, a.dayPayload); err != nil {
-		return err
-	}
-	return restoreIntMap(d, a.daySYNs)
-}
-
-func (a *DomainAgg) appendSnapshot(b []byte) []byte {
-	keys := make([]domKey, 0, len(a.counts))
-	for k := range a.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].country != keys[j].country {
-			return keys[i].country < keys[j].country
-		}
-		return keys[i].domain < keys[j].domain
-	})
-	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		c := a.counts[k]
-		b = wire.AppendString(b, k.country)
-		b = wire.AppendString(b, k.domain)
-		b = wire.AppendVarint(b, int64(c.Sightings))
-		b = wire.AppendVarint(b, int64(c.Matches))
-	}
-	return b
-}
-
-func (a *DomainAgg) restoreSnapshot(d *wire.Decoder) error {
-	n := d.Len(maxSnapshotEntries, 4)
-	for i := 0; i < n; i++ {
-		country := d.String(maxSnapshotString)
-		domain := d.String(maxSnapshotString)
-		sightings := d.Int()
-		matches := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		k := domKey{country: country, domain: domain}
-		c := a.counts[k]
-		if c == nil {
-			c = &DomainCount{Country: country, Domain: domain}
-			a.counts[k] = c
-		}
-		c.Sightings += sightings
-		c.Matches += matches
-	}
-	return d.Err()
-}
-
-func (a *OverlapAgg) appendSnapshot(b []byte) []byte {
+func (a *OverlapAgg) appendSnapshot(b []byte) ([]byte, error) {
 	keys := make([]pairKey, 0, len(a.obs))
 	for k := range a.obs {
 		keys = append(keys, k)
@@ -740,7 +358,7 @@ func (a *OverlapAgg) appendSnapshot(b []byte) []byte {
 			b = wire.AppendUvarint(b, uint64(o.sig))
 		}
 	}
-	return b
+	return b, nil
 }
 
 func (a *OverlapAgg) restoreSnapshot(d *wire.Decoder) error {
@@ -768,99 +386,9 @@ func (a *OverlapAgg) restoreSnapshot(d *wire.Decoder) error {
 	return d.Err()
 }
 
-func (a *StabilityAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(a.minPerHalf))
-	b = wire.AppendVarint(b, int64(a.maxHour))
-	var anyFlag uint64
-	if a.any {
-		anyFlag = 1
-	}
-	b = wire.AppendUvarint(b, anyFlag)
-	b = wire.AppendUvarint(b, uint64(len(a.byCountry)))
-	for _, c := range sortedStrings(a.byCountry) {
-		hours := a.byCountry[c]
-		b = wire.AppendString(b, c)
-		b = wire.AppendUvarint(b, uint64(len(hours)))
-		for _, hr := range sortedInts(hours) {
-			h := hours[hr]
-			b = wire.AppendVarint(b, int64(hr))
-			b = wire.AppendVarint(b, int64(h.all))
-			b = wire.AppendVarint(b, int64(h.total))
-			for sig := 0; sig < numSigs; sig++ {
-				b = wire.AppendVarint(b, int64(h.sig[sig]))
-			}
-		}
-	}
-	return b
-}
+func (a *TimeSpanAgg) tag() byte { return tagTimeSpan }
 
-func (a *StabilityAgg) restoreSnapshot(d *wire.Decoder) error {
-	min := d.Uvarint()
-	maxHour := d.Int()
-	anyFlag := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if min != uint64(a.minPerHalf) {
-		return fmt.Errorf("analysis: snapshot minPerHalf=%d into minPerHalf=%d", min, a.minPerHalf)
-	}
-	if anyFlag > 1 {
-		return fmt.Errorf("analysis: stability any flag %d out of range", anyFlag)
-	}
-	a.any = a.any || anyFlag == 1
-	if maxHour > a.maxHour {
-		a.maxHour = maxHour
-	}
-	nC := d.Len(maxSnapshotEntries, 2)
-	for i := 0; i < nC; i++ {
-		c := d.String(maxSnapshotString)
-		nH := d.Len(maxSnapshotEntries, 3+numSigs)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		hours := a.byCountry[c]
-		if hours == nil {
-			hours = map[int]*hourCount{}
-			a.byCountry[c] = hours
-		}
-		for j := 0; j < nH; j++ {
-			hr := d.Int()
-			all := d.Int()
-			total := d.Int()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			h := hours[hr]
-			if h == nil {
-				h = &hourCount{}
-				hours[hr] = h
-			}
-			h.all += all
-			h.total += total
-			for sig := 0; sig < numSigs; sig++ {
-				h.sig[sig] += d.Int()
-			}
-			if err := d.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return d.Err()
-}
-
-func (a *RobustnessAgg) appendSnapshot(b []byte) []byte {
-	b = wire.AppendString(b, a.grade)
-	b = wire.AppendFloat64(b, a.effectiveLoss)
-	b = wire.AppendVarint(b, int64(a.total))
-	b = wire.AppendVarint(b, int64(a.anomalous))
-	b = wire.AppendVarint(b, int64(a.notTampering))
-	for sig := 0; sig < numSigs; sig++ {
-		b = wire.AppendVarint(b, int64(a.fps[sig]))
-	}
-	return b
-}
-
-func (a *TimeSpanAgg) appendSnapshot(b []byte) []byte {
+func (a *TimeSpanAgg) appendSnapshot(b []byte) ([]byte, error) {
 	b = wire.AppendVarint(b, int64(a.total))
 	keys := a.sortedTimes()
 	b = wire.AppendUvarint(b, uint64(len(keys)))
@@ -876,7 +404,7 @@ func (a *TimeSpanAgg) appendSnapshot(b []byte) []byte {
 		prev = t
 		b = wire.AppendVarint(b, int64(a.secs[t]))
 	}
-	return b
+	return b, nil
 }
 
 // maxTimeDelta bounds the gap between consecutive snapshot seconds;
@@ -906,27 +434,6 @@ func (a *TimeSpanAgg) restoreSnapshot(d *wire.Decoder) error {
 			return fmt.Errorf("analysis: time-span snapshot count %d for second %d", cnt, prev)
 		}
 		a.secs[prev] += cnt
-	}
-	return d.Err()
-}
-
-func (a *RobustnessAgg) restoreSnapshot(d *wire.Decoder) error {
-	grade := d.String(maxSnapshotString)
-	loss := d.Float64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if grade != a.grade {
-		return fmt.Errorf("analysis: snapshot grade %q into %q", grade, a.grade)
-	}
-	if loss != a.effectiveLoss {
-		return fmt.Errorf("analysis: snapshot effectiveLoss=%v into %v", loss, a.effectiveLoss)
-	}
-	a.total += d.Int()
-	a.anomalous += d.Int()
-	a.notTampering += d.Int()
-	for sig := 0; sig < numSigs; sig++ {
-		a.fps[sig] += d.Int()
 	}
 	return d.Err()
 }

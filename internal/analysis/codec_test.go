@@ -8,7 +8,13 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
+
+	"tamperdetect/internal/core"
+	"tamperdetect/internal/stats"
 )
 
 // snapshotOf encodes a or fails the test.
@@ -166,11 +172,95 @@ func TestSnapshotTruncation(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsPreTableFrame: a NewFleetAggs frame written by
+// the encoder that preceded the count table (captured as hex in
+// testdata) must fail with a tag mismatch — its stored totals are
+// never misread as the new disjoint cells.
+func TestSnapshotRejectsPreTableFrame(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent_fleet_frame.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RestoreSnapshot(frame, NewFleetAggs())
+	if err == nil || !strings.Contains(err.Error(), "snapshot tag 1 does not match") {
+		t.Errorf("pre-table frame: err = %v, want a tag mismatch", err)
+	}
+}
+
+// inUnit fails the test unless v is a share in [0, 1].
+func inUnit(t *testing.T, what string, v float64) {
+	t.Helper()
+	if !(v >= 0 && v <= 1) {
+		t.Fatalf("%s = %v, outside [0, 1]", what, v)
+	}
+}
+
+// checkShares asserts every share the fleet set's finalizers compute
+// lies in [0, 1] — the property a frame with a stored total smaller
+// than its counts used to break.
+func checkShares(t *testing.T, m Multi) {
+	t.Helper()
+	s := m[fleetStages].(*StageStatsAgg).Stats()
+	inUnit(t, "possibly-tampered share", s.PossiblyTamperedShare())
+	inUnit(t, "signature coverage", s.SignatureCoverage())
+	for st := core.Stage(0); st < core.NumStages; st++ {
+		inUnit(t, "stage share", s.StageShare(st))
+		inUnit(t, "stage coverage", s.StageCoverage(st))
+	}
+	for _, sc := range m[fleetComposition].(*CountryBySignatureAgg).Table() {
+		for c := range sc.ByCountry {
+			inUnit(t, "Figure 1 share", sc.Share(c))
+		}
+	}
+	for _, d := range m[fleetDistribution].(*SignatureByCountryAgg).Table() {
+		inUnit(t, "Figure 4 tampered share", d.TamperedShare())
+		for _, sig := range core.AllSignatures() {
+			inUnit(t, "Figure 4 signature share", d.SignatureShare(sig))
+		}
+	}
+	for _, view := range m[fleetASN].(*ASNViewAgg).Finalize().(map[string][]ASNStat) {
+		for _, a := range view {
+			inUnit(t, "Figure 5 match share", a.MatchShare())
+			inUnit(t, "Figure 5 country share", a.CountryShare)
+		}
+	}
+	vRows, _ := m[fleetIPVersion].(*IPVersionAgg).Table()
+	for _, v := range vRows {
+		inUnit(t, "Figure 7a IPv4 share", v.V4Share())
+		inUnit(t, "Figure 7a IPv6 share", v.V6Share())
+	}
+	pRows, _ := m[fleetProtocol].(*ProtocolAgg).Table()
+	for _, p := range pRows {
+		inUnit(t, "Figure 7b TLS share", p.TLSShare())
+		inUnit(t, "Figure 7b HTTP share", p.HTTPShare())
+	}
+	for _, dc := range m[fleetDomains].(*DomainAgg).Finalize().([]DomainCount) {
+		inUnit(t, "domain match share", stats.Ratio(dc.Matches, dc.Sightings))
+	}
+	for _, r := range m[fleetStability].(*StabilityAgg).Report() {
+		inUnit(t, "stability rate delta", r.RateDelta)
+	}
+	sc := m[fleetScanners].(*ScannerAgg).Stats()
+	inUnit(t, "port-80 payload share", stats.Ratio(sc.SYNPayload80, sc.Port80SYNs))
+	inUnit(t, "peak-day payload share", sc.PeakDayShare)
+	for _, p := range m[fleetSeries].(*TimeSeriesAgg).Series() {
+		inUnit(t, "series share", p.Share())
+	}
+}
+
 // FuzzSnapshotCodec feeds arbitrary bytes to RestoreSnapshot: decoding
 // untrusted input must return an error or a state that re-encodes —
-// never panic, hang, or over-allocate. Seeded with a valid frame.
+// never panic, hang, or over-allocate — and every share an accepted
+// fleet or robustness frame finalizes to must lie in [0, 1]. Seeded
+// with valid frames and with a frame in the pre-table encoding whose
+// Figure 4 row claims one connection but five ⟨SYN → RST⟩ matches
+// (accepted there as a 500% tampered share).
 func FuzzSnapshotCodec(f *testing.F) {
-	src := parityAggs()
+	src := NewFleetAggs()
 	rec := Record{}
 	src.Add(&rec)
 	if seed, err := AppendSnapshot(nil, src); err == nil {
@@ -178,13 +268,33 @@ func FuzzSnapshotCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagMulti), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	preTable, _ := hex.DecodeString("0e0c010000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000000000000000000000000008" +
+		"e8070000020102434e0200000a0000000000000000000000000000000000000400063200071e000a000b000c1e0000000900000000000000000000000000050400")
+	f.Add(preTable)
+	// The same claim in the table encoding can only state counts:
+	// five matches are five connections.
+	crafted := NewFleetAggs()
+	crafted[fleetDistribution].(*SignatureByCountryAgg).t.row("CN")[core.SigSYNRST] = 5
+	if seed, err := AppendSnapshot(nil, crafted); err == nil {
+		f.Add(seed)
+	}
+	rob := NewRobustnessAgg("clean", 0)
+	rob.Add(&Record{Res: core.Result{Signature: core.SigSYNRST}})
+	if seed, err := AppendSnapshot(nil, rob); err == nil {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dst := parityAggs()
-		if err := RestoreSnapshot(data, dst); err != nil {
-			return
+		dst := NewFleetAggs()
+		if err := RestoreSnapshot(data, dst); err == nil {
+			if _, err := AppendSnapshot(nil, dst); err != nil {
+				t.Fatalf("accepted frame failed to re-encode: %v", err)
+			}
+			checkShares(t, dst)
 		}
-		if _, err := AppendSnapshot(nil, dst); err != nil {
-			t.Fatalf("accepted frame failed to re-encode: %v", err)
+		g := NewRobustnessAgg("clean", 0)
+		if err := RestoreSnapshot(data, g); err == nil {
+			grade := g.Grade()
+			inUnit(t, "false-positive rate", grade.FalsePositiveRate())
 		}
 	})
 }

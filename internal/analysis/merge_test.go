@@ -129,14 +129,14 @@ func TestMergeRejectsMismatches(t *testing.T) {
 // input order); it must now be a pure function of the multiset.
 func TestOverlapMatrixOrderIndependence(t *testing.T) {
 	_, recs, _ := dataset(t)
-	want := ComputeOverlapMatrix(recs)
+	want := addAll(NewOverlapAgg(), recs).Matrix()
 	rng := rand.New(rand.NewPCG(11, 17))
 	shuffled := append([]Record(nil), recs...)
 	for pass := 0; pass < 3; pass++ {
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		got := ComputeOverlapMatrix(shuffled)
+		got := addAll(NewOverlapAgg(), shuffled).Matrix()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: overlap matrix changed under input shuffle", pass)
 		}

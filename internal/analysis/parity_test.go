@@ -2,15 +2,16 @@ package analysis
 
 // The parity suite enforces the subsystem's central invariant: every
 // finalized table is a pure function of the record multiset. The same
-// scenario rendered through (a) the legacy batch functions, (b) the
-// streaming pipeline at several worker counts, and (c) independent
-// per-PoP aggregation merged in either order must be byte-identical.
+// scenario rendered through (a) one serial Add pass over the whole
+// record slice (the batch reference, itself pinned by the fleet-report
+// golden), (b) the streaming pipeline at several worker counts, and
+// (c) independent per-PoP aggregation merged in either order must be
+// byte-identical.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -103,52 +104,6 @@ func renderAggs(agg Aggregator, scen *workload.Scenario) string {
 	return b.String()
 }
 
-// renderBatch renders the identical surface through the legacy batch
-// functions over a record slice.
-func renderBatch(recs []Record, conns []*capture.Connection, scen *workload.Scenario) string {
-	var b strings.Builder
-	b.WriteString(RenderStageStats(ComputeStageStats(recs)))
-	b.WriteString(RenderSignatureComposition(CountryBySignature(recs)))
-	cdfs := ComputeEvidenceCDFs(recs, 1000)
-	b.WriteString(RenderEvidenceCDF("ipid", cdfs.IPID, []float64{0, 1, 10, 100, 1000, 10000}))
-	b.WriteString(RenderEvidenceCDF("ttl", cdfs.TTL, []float64{0, 1, 5, 20, 60, 150}))
-	b.WriteString(RenderCountryDistribution(SignatureByCountry(recs), 50))
-	for _, c := range countriesOf(recs) {
-		b.WriteString(RenderASNView(c, ASNView(recs, c)))
-	}
-	vRows, vSlope := IPVersionCompare(recs, 50)
-	b.WriteString(RenderVersionComparison(vRows, vSlope))
-	pRows, pSlope := ProtocolCompare(recs, 30)
-	b.WriteString(RenderProtocolComparison(pRows, pSlope))
-	for _, region := range parityRegions {
-		b.WriteString(RenderCategoryTable(ComputeCategoryTable(recs, scen.Universe, region, 3), 3))
-	}
-	b.WriteString(RenderListCoverage(ListCoverageTable(recs, paritySuite(scen), parityRegions, 3), parityRegions))
-	b.WriteString(RenderOverlapMatrix(ComputeOverlapMatrix(recs)))
-	b.WriteString(RenderStability(StabilityReport(recs, 30)))
-	b.WriteString(RenderScannerStats(ComputeScannerStats(recs, conns)))
-	b.WriteString(RenderTimeSeries("series", TimeSeries(recs, 4, nil, AnySignatureMatch)))
-	b.WriteString(RenderTimeSpan(ComputeTimeSpan(recs)))
-	return b.String()
-}
-
-// countriesOf lists the distinct non-empty countries, sorted —
-// mirroring ASNViewAgg.Countries for the batch render.
-func countriesOf(recs []Record) []string {
-	set := map[string]bool{}
-	for i := range recs {
-		if recs[i].Country != "" {
-			set[recs[i].Country] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func encodeConns(t testing.TB, conns []*capture.Connection) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -177,10 +132,10 @@ func firstDiff(a, b string) string {
 
 // TestParityStreamingMatchesBatch renders the whole paper surface from
 // the streaming pipeline at 1, 4, and 16 workers and requires each to
-// be byte-identical with the batch render.
+// be byte-identical with the serial batch render.
 func TestParityStreamingMatchesBatch(t *testing.T) {
 	conns, recs, scen := dataset(t)
-	want := renderBatch(recs, conns, scen)
+	want := renderAggs(addAll(parityAggs(), recs), scen)
 	data := encodeConns(t, conns)
 	for _, workers := range []int{1, 4, 16} {
 		sharded := NewSharded(scen.Geo, workers, parityAggs)
@@ -209,10 +164,10 @@ func TestParityStreamingMatchesBatch(t *testing.T) {
 // each PoP classifies and aggregates only its own traffic, and the
 // per-PoP aggregates merge into the global tables. The merged render —
 // in either merge order — must be byte-identical with the single-PoP
-// batch render.
+// serial batch render.
 func TestParityPoPMergeMatchesBatch(t *testing.T) {
 	conns, recs, scen := dataset(t)
-	want := renderBatch(recs, conns, scen)
+	want := renderAggs(addAll(parityAggs(), recs), scen)
 
 	const pops = 5
 	shards := workload.PoPPartition(scen.Specs(), pops)

@@ -3,7 +3,6 @@ package analysis
 import (
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/domains"
-	"tamperdetect/internal/testlists"
 )
 
 // CategoryRow is one (region, category) cell of Table 2.
@@ -37,28 +36,6 @@ func (t *CategoryTable) Top(n int) []CategoryRow {
 	return t.Rows[:n]
 }
 
-// ComputeCategoryTable builds Table 2 for one region ("" means global).
-// A domain counts as tampered when it has at least minMatches Post-PSH
-// signature matches from the region (the paper uses 100 per day at CDN
-// scale; scale it to the dataset size).
-func ComputeCategoryTable(recs []Record, u *domains.Universe, region string, minMatches int) CategoryTable {
-	a := NewDomainAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.CategoryTable(u, region, minMatches)
-}
-
-// TamperedDomains lists the domains with at least minMatches Post-PSH
-// matches from the region — the §5.5 observation set.
-func TamperedDomains(recs []Record, region string, minMatches int) []string {
-	a := NewDomainAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.TamperedDomains(region, minMatches)
-}
-
 // ListCoverageRow is one cell-row of Table 3: a list's coverage of each
 // region's tampered domains.
 type ListCoverageRow struct {
@@ -68,16 +45,6 @@ type ListCoverageRow struct {
 	// best case.
 	Exact     map[string]float64
 	Substring map[string]float64
-}
-
-// ListCoverageTable computes Table 3 over the given regions ("" means
-// global).
-func ListCoverageTable(recs []Record, suite *testlists.Suite, regions []string, minMatches int) []ListCoverageRow {
-	a := NewDomainAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.ListCoverage(suite, regions, minMatches)
 }
 
 // OverlapMatrix is Figure 10: for (client, domain) pairs observed at
@@ -103,18 +70,6 @@ func postPSHAxes() []core.Signature {
 		}
 	}
 	return out
-}
-
-// ComputeOverlapMatrix builds Figure 10 via OverlapAgg, which orders
-// each pair's observations by (time, signature) at finalize — the
-// result no longer depends on the input slice's order, so shuffled or
-// shard-merged record sets produce the identical matrix.
-func ComputeOverlapMatrix(recs []Record) OverlapMatrix {
-	a := NewOverlapAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Matrix()
 }
 
 // DiagonalMass is Figure 10's headline: the average over rows (with

@@ -52,16 +52,6 @@ func (g *RobustnessGrade) FalsePositiveRate() float64 {
 	return stats.Ratio(g.FalsePositiveTotal(), g.Total)
 }
 
-// TallyRobustness folds the classifier verdicts of a tamper-free run
-// into a grade cell.
-func TallyRobustness(grade string, effectiveLoss float64, sigs []core.Signature) RobustnessGrade {
-	a := NewRobustnessAgg(grade, effectiveLoss)
-	for _, sig := range sigs {
-		a.Add(&Record{Res: core.Result{Signature: sig}})
-	}
-	return a.Grade()
-}
-
 // RenderRobustnessMatrix prints the per-signature false-positive matrix
 // across impairment grades.
 func RenderRobustnessMatrix(grades []RobustnessGrade) string {

@@ -20,18 +20,6 @@ type StabilityRow struct {
 	RateDelta float64
 }
 
-// StabilityReport compares signature mixes between the first and second
-// halves of the window for countries with at least minPerHalf tampered
-// connections in each half, sorted by ascending similarity (least
-// stable first).
-func StabilityReport(recs []Record, minPerHalf int) []StabilityRow {
-	a := NewStabilityAgg(minPerHalf)
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Report()
-}
-
 // cosine computes the cosine similarity of two count vectors.
 func cosine(a, b []int) float64 {
 	var dot, na, nb float64

@@ -120,15 +120,6 @@ func (a *TimeSpanAgg) sortedTimes() []int64 {
 	return keys
 }
 
-// ComputeTimeSpan is the batch form: the span of a record slice.
-func ComputeTimeSpan(recs []Record) TimeSpan {
-	a := NewTimeSpanAgg()
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Span()
-}
-
 // RenderTimeSpan prints the temporal extent summary.
 func RenderTimeSpan(ts TimeSpan) string {
 	return fmt.Sprintf("time span: %d records over seconds [%d, %d], %d distinct timestamps, hours %d..%d (%d covered)\n",

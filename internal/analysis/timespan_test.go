@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// spanOf is the span of a record slice, from one serial pass.
+func spanOf(recs []Record) TimeSpan { return addAll(NewTimeSpanAgg(), recs).Span() }
+
 // spanRecords synthesizes one record per (hour, offset) pair.
 func spanRecords(times []int64) []Record {
 	recs := make([]Record, len(times))
@@ -16,13 +19,13 @@ func spanRecords(times []int64) []Record {
 }
 
 func TestTimeSpanBasics(t *testing.T) {
-	ts := ComputeTimeSpan(spanRecords([]int64{7200, 30, 30, 3601, 0, 7199}))
+	ts := spanOf(spanRecords([]int64{7200, 30, 30, 3601, 0, 7199}))
 	want := TimeSpan{Total: 6, MinTime: 0, MaxTime: 7200, DistinctTimes: 5,
 		FirstHour: 0, LastHour: 2, HoursSeen: 3}
 	if ts != want {
 		t.Errorf("span = %+v, want %+v", ts, want)
 	}
-	if zero := ComputeTimeSpan(nil); zero != (TimeSpan{}) {
+	if zero := spanOf(nil); zero != (TimeSpan{}) {
 		t.Errorf("empty span = %+v", zero)
 	}
 	if !strings.Contains(RenderTimeSpan(ts), "6 records") {
@@ -33,7 +36,7 @@ func TestTimeSpanBasics(t *testing.T) {
 func TestTimeSpanCoversWindow(t *testing.T) {
 	// Every hour of a 3-hour window populated at sub-hour offsets.
 	full := []int64{5, 100, 3660, 3720, 7200, 10700}
-	if err := ComputeTimeSpan(spanRecords(full)).CoversWindow(3); err != nil {
+	if err := spanOf(spanRecords(full)).CoversWindow(3); err != nil {
 		t.Errorf("full window rejected: %v", err)
 	}
 	cases := []struct {
@@ -50,7 +53,7 @@ func TestTimeSpanCoversWindow(t *testing.T) {
 		{"hour-quantized", []int64{0, 3600, 7200}, 3, "sub-hour"},
 	}
 	for _, tc := range cases {
-		err := ComputeTimeSpan(spanRecords(tc.times)).CoversWindow(tc.hours)
+		err := spanOf(spanRecords(tc.times)).CoversWindow(tc.hours)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
@@ -59,7 +62,7 @@ func TestTimeSpanCoversWindow(t *testing.T) {
 
 func TestTimeSpanMerge(t *testing.T) {
 	recs := spanRecords([]int64{0, 50, 3660, 3660, 7300, 10999})
-	whole := ComputeTimeSpan(recs)
+	whole := spanOf(recs)
 	a, b := NewTimeSpanAgg(), NewTimeSpanAgg()
 	for i := range recs[:3] {
 		a.Add(&recs[i])
@@ -106,7 +109,7 @@ func TestTimeSpanSnapshotRoundTrip(t *testing.T) {
 	if err := RestoreSnapshot(frame, merged); err != nil {
 		t.Fatalf("RestoreSnapshot into non-empty: %v", err)
 	}
-	wantAll := ComputeTimeSpan(append(append([]Record(nil), recs...), extra...))
+	wantAll := spanOf(append(append([]Record(nil), recs...), extra...))
 	if got := merged.Span(); got != wantAll {
 		t.Errorf("restore-as-merge span = %+v, want %+v", got, wantAll)
 	}

@@ -50,7 +50,7 @@ func BenignScenario(name string, total, hours int, seed uint64) (*Scenario, erro
 // GradeOutcome is one impairment grade's raw classification outcome on
 // a tamper-free workload: the verdict signature of every connection
 // that survived capture. internal/analysis folds these into the
-// false-positive matrix (TallyRobustness/RenderRobustnessMatrix); the
+// false-positive matrix (RobustnessAgg/RenderRobustnessMatrix); the
 // split keeps workload free of analysis imports.
 type GradeOutcome struct {
 	// Grade is the impairment profile name ("clean", "lossy", …).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tamperdetect/internal/analysis"
+	"tamperdetect/internal/core"
 )
 
 // TestLossyGradeZeroFalsePositives is the acceptance gate for the
@@ -29,7 +30,11 @@ func TestLossyGradeZeroFalsePositives(t *testing.T) {
 	grades := make([]analysis.RobustnessGrade, len(outs))
 	byName := map[string]*analysis.RobustnessGrade{}
 	for i, o := range outs {
-		grades[i] = analysis.TallyRobustness(o.Grade, o.EffectiveLoss, o.Signatures)
+		agg := analysis.NewRobustnessAgg(o.Grade, o.EffectiveLoss)
+		for _, sig := range o.Signatures {
+			agg.Add(&analysis.Record{Res: core.Result{Signature: sig}})
+		}
+		grades[i] = agg.Grade()
 		byName[grades[i].Grade] = &grades[i]
 	}
 	clean, lossy := byName["clean"], byName["lossy"]

@@ -34,16 +34,30 @@ func streamAnalyzeCapture(t *testing.T) ([]*capture.Connection, []byte, *GeoDB) 
 	return conns, buf.Bytes(), s.Geo
 }
 
+// classifyAll builds one aggregation record per connection, serially
+// and in input order.
+func classifyAll(conns []*capture.Connection, db *GeoDB) []analysis.Record {
+	cl := core.NewClassifier(core.DefaultConfig())
+	recs := make([]analysis.Record, len(conns))
+	for i, c := range conns {
+		recs[i] = analysis.NewRecord(c, db, cl.Classify(c))
+	}
+	return recs
+}
+
 // TestStreamAnalyzeMatchesBatch proves the public one-pass entry point
-// reproduces the batch tables exactly, at every worker count: the
-// aggregators are pure functions of the record multiset, so the
-// worker assignment cannot change the result.
+// reproduces a serial Add over every record exactly, at every worker
+// count: the aggregators are pure functions of the record multiset, so
+// the worker assignment cannot change the result.
 func TestStreamAnalyzeMatchesBatch(t *testing.T) {
 	conns, data, db := streamAnalyzeCapture(t)
 
-	recs := analysis.Analyze(conns, db, core.NewClassifier(core.DefaultConfig()), 0)
-	wantStages := analysis.ComputeStageStats(recs)
-	wantSigs := analysis.SignatureByCountry(recs)
+	want := AggMulti{NewStageStatsAgg(), NewSignatureByCountryAgg()}
+	for _, rec := range classifyAll(conns, db) {
+		want.Add(&rec)
+	}
+	wantStages := want[0].(*StageStatsAgg).Stats()
+	wantSigs := want[1].(*SignatureByCountryAgg).Table()
 
 	for _, workers := range []int{1, 4} {
 		agg, counts, err := StreamAnalyze(context.Background(), bytes.NewReader(data),
