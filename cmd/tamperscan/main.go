@@ -97,7 +97,6 @@ import (
 	"syscall"
 	"time"
 
-	"tamperdetect"
 	"tamperdetect/internal/analysis"
 	"tamperdetect/internal/capture"
 	"tamperdetect/internal/core"
@@ -212,20 +211,17 @@ func (e *partialError) Unwrap() error { return e.err }
 // The -v per-connection listing stays in the ordered sink, which is
 // the only part of the output that needs decode order.
 type report struct {
-	total       int
-	counts      [core.NumSignatures]int
-	stages      [core.NumStages]int
-	possibly    int
-	evidenceBig map[tamperdetect.Signature]int
-	evidenceAll map[tamperdetect.Signature]int
+	total    int
+	counts   [core.NumSignatures]int
+	stages   [core.NumStages]int
+	possibly int
+	// evidenceAll counts, per tampering signature, the connections
+	// with a valid IP-ID; evidenceBig those whose IP-ID delta tops 100.
+	evidenceAll [core.NumSignatures]int
+	evidenceBig [core.NumSignatures]int
 }
 
-func newReport() analysis.Aggregator {
-	return &report{
-		evidenceBig: map[tamperdetect.Signature]int{},
-		evidenceAll: map[tamperdetect.Signature]int{},
-	}
-}
+func newReport() analysis.Aggregator { return &report{} }
 
 // Add tallies one classified connection.
 func (rep *report) Add(r *analysis.Record) {
@@ -254,15 +250,11 @@ func (rep *report) Merge(other analysis.Aggregator) error {
 	rep.possibly += o.possibly
 	for s := range rep.counts {
 		rep.counts[s] += o.counts[s]
+		rep.evidenceAll[s] += o.evidenceAll[s]
+		rep.evidenceBig[s] += o.evidenceBig[s]
 	}
 	for st := range rep.stages {
 		rep.stages[st] += o.stages[st]
-	}
-	for s, n := range o.evidenceAll {
-		rep.evidenceAll[s] += n
-	}
-	for s, n := range o.evidenceBig {
-		rep.evidenceBig[s] += n
 	}
 	return nil
 }
@@ -294,25 +286,21 @@ func (rep *report) print() {
 	fmt.Printf("possibly tampered: %d (%.1f%%)\n", rep.possibly,
 		stats.Percent(stats.Ratio(rep.possibly, rep.total)))
 	fmt.Println("\nsignature histogram:")
-	type row struct {
-		sig tamperdetect.Signature
-		n   int
-	}
-	var rows []row
-	for s := tamperdetect.Signature(0); s < core.NumSignatures; s++ {
+	var sigs []core.Signature
+	for s := core.Signature(0); s < core.NumSignatures; s++ {
 		if rep.counts[s] > 0 {
-			rows = append(rows, row{s, rep.counts[s]})
+			sigs = append(sigs, s)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
-	for _, r := range rows {
+	sort.Slice(sigs, func(i, j int) bool { return rep.counts[sigs[i]] > rep.counts[sigs[j]] })
+	for _, s := range sigs {
 		evid := ""
-		if n := rep.evidenceAll[r.sig]; n > 0 {
+		if n := rep.evidenceAll[s]; n > 0 {
 			evid = fmt.Sprintf("  (IP-ID delta >100 in %.0f%%)",
-				stats.Percent(stats.Ratio(rep.evidenceBig[r.sig], n)))
+				stats.Percent(stats.Ratio(rep.evidenceBig[s], n)))
 		}
-		fmt.Printf("  %-28s %8d  %5.1f%%%s\n", r.sig, r.n,
-			stats.Percent(stats.Ratio(r.n, rep.total)), evid)
+		fmt.Printf("  %-28s %8d  %5.1f%%%s\n", s, rep.counts[s],
+			stats.Percent(stats.Ratio(rep.counts[s], rep.total)), evid)
 	}
 	fmt.Println("\nstage breakdown of possibly-tampered:")
 	for st := core.StagePostSYN; st <= core.StageOther; st++ {

@@ -7,6 +7,7 @@ package analysis
 // determinism invariant.
 
 import (
+	"net/netip"
 	"sort"
 
 	"tamperdetect/internal/core"
@@ -235,7 +236,10 @@ func (a *DomainAgg) ListCoverage(suite *testlists.Suite, regions []string, minMa
 // ---------------------------------------------------------------------
 // Figure 10: signature overlap
 
-type pairKey struct{ src, domain string }
+type pairKey struct {
+	src    netip.Addr
+	domain string
+}
 
 type pairObs struct {
 	time int64
@@ -271,7 +275,7 @@ func (a *OverlapAgg) Add(r *Record) {
 	if _, ok := a.axisIdx[r.Res.Signature]; !ok {
 		return
 	}
-	k := pairKey{src: r.SrcKey, domain: r.Res.Domain}
+	k := pairKey{src: r.Src, domain: r.Res.Domain}
 	a.obs[k] = append(a.obs[k], pairObs{time: r.Time, sig: r.Res.Signature})
 }
 

@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"net/netip"
 	"sort"
 
 	"tamperdetect/internal/capture"
@@ -27,8 +28,10 @@ type Record struct {
 	// Time is the first packet's timestamp in seconds — the canonical
 	// per-pair ordering key of the overlap matrix.
 	Time int64
-	// SrcKey identifies the client address for overlap analysis.
-	SrcKey string
+	// Src is the client address: the overlap matrix's pair key and
+	// part of the evidence sampling key. It stays an Addr so building
+	// a record formats nothing; the codecs and hashes use its text.
+	Src netip.Addr
 	// SrcPort and DstPort come from the connection's flow key; DstPort
 	// drives the scanner port counters without the raw connection.
 	SrcPort uint16
@@ -45,7 +48,7 @@ func NewRecord(c *capture.Connection, db geo.Resolver, res core.Result) Record {
 	rec := Record{
 		Res:       res,
 		IPVersion: c.IPVersion,
-		SrcKey:    c.SrcIP.String(),
+		Src:       c.SrcIP,
 		SrcPort:   c.SrcPort,
 		DstPort:   c.DstPort,
 	}

@@ -28,6 +28,7 @@ package analysis
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 
 	"tamperdetect/internal/core"
@@ -327,31 +328,37 @@ func (a *EvidenceAgg) restoreSnapshot(d *wire.Decoder) error {
 func (a *OverlapAgg) tag() byte { return tagOverlap }
 
 func (a *OverlapAgg) appendSnapshot(b []byte) ([]byte, error) {
-	keys := make([]pairKey, 0, len(a.obs))
+	// Pairs sort by the address text the frame carries, not by Addr
+	// order, so entries appear in the order of their encoded bytes.
+	type entry struct {
+		src string
+		k   pairKey
+	}
+	keys := make([]entry, 0, len(a.obs))
 	for k := range a.obs {
-		keys = append(keys, k)
+		keys = append(keys, entry{addrText(k.src), k})
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].src != keys[j].src {
 			return keys[i].src < keys[j].src
 		}
-		return keys[i].domain < keys[j].domain
+		return keys[i].k.domain < keys[j].k.domain
 	})
 	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
+	for _, e := range keys {
 		// The stored slice keeps Add order; encode the canonical
 		// (time, signature) order instead so the frame is a pure
 		// function of the observation multiset. Matrix() applies the
 		// same ordering at finalize, so this is behavior-preserving.
-		obs := append([]pairObs(nil), a.obs[k]...)
+		obs := append([]pairObs(nil), a.obs[e.k]...)
 		sort.Slice(obs, func(i, j int) bool {
 			if obs[i].time != obs[j].time {
 				return obs[i].time < obs[j].time
 			}
 			return obs[i].sig < obs[j].sig
 		})
-		b = wire.AppendString(b, k.src)
-		b = wire.AppendString(b, k.domain)
+		b = wire.AppendString(b, e.src)
+		b = wire.AppendString(b, e.k.domain)
 		b = wire.AppendUvarint(b, uint64(len(obs)))
 		for _, o := range obs {
 			b = wire.AppendVarint(b, o.time)
@@ -364,10 +371,14 @@ func (a *OverlapAgg) appendSnapshot(b []byte) ([]byte, error) {
 func (a *OverlapAgg) restoreSnapshot(d *wire.Decoder) error {
 	n := d.Len(maxSnapshotEntries, 5)
 	for i := 0; i < n; i++ {
-		src := d.String(maxSnapshotString)
+		text := d.String(maxSnapshotString)
 		domain := d.String(maxSnapshotString)
 		cnt := d.Len(maxSnapshotEntries, 2)
 		if err := d.Err(); err != nil {
+			return err
+		}
+		src, err := parseAddrText(text)
+		if err != nil {
 			return err
 		}
 		k := pairKey{src: src, domain: domain}
@@ -384,6 +395,30 @@ func (a *OverlapAgg) restoreSnapshot(d *wire.Decoder) error {
 		}
 	}
 	return d.Err()
+}
+
+// addrText is a client address's wire text: its canonical form, or ""
+// for the zero Addr.
+func addrText(a netip.Addr) string {
+	if !a.IsValid() {
+		return ""
+	}
+	return a.String()
+}
+
+// parseAddrText inverts addrText and accepts nothing else. Besides
+// text that is no address at all ("010.0.0.1"), that rejects text that
+// parses but prints differently ("2001:0db8::1"), which would restore
+// a pair that re-encodes to other bytes.
+func parseAddrText(s string) (netip.Addr, error) {
+	if s == "" {
+		return netip.Addr{}, nil
+	}
+	a, err := netip.ParseAddr(s)
+	if err != nil || a.String() != s {
+		return netip.Addr{}, fmt.Errorf("analysis: overlap snapshot carries non-canonical address %q", s)
+	}
+	return a, nil
 }
 
 func (a *TimeSpanAgg) tag() byte { return tagTimeSpan }

@@ -9,12 +9,14 @@ package analysis
 import (
 	"bytes"
 	"encoding/hex"
+	"net/netip"
 	"os"
 	"strings"
 	"testing"
 
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/stats"
+	"tamperdetect/internal/wire"
 )
 
 // snapshotOf encodes a or fails the test.
@@ -191,6 +193,41 @@ func TestSnapshotRejectsPreTableFrame(t *testing.T) {
 	}
 }
 
+// overlapFrame hand-encodes a one-pair OverlapAgg frame whose client
+// text is src, bypassing the encoder's canonical form.
+func overlapFrame(src string) []byte {
+	b := []byte{tagOverlap}
+	b = wire.AppendUvarint(b, 1)
+	b = wire.AppendString(b, src)
+	b = wire.AppendString(b, "example.com")
+	b = wire.AppendUvarint(b, 1)
+	b = wire.AppendVarint(b, 7)
+	return wire.AppendUvarint(b, uint64(core.SigNotTampering))
+}
+
+// TestSnapshotOverlapCanonicalSrc: an overlap pair's client text is
+// accepted only in the form the encoder writes — empty for no address,
+// else the address's canonical text — so every accepted frame
+// re-encodes to its own bytes.
+func TestSnapshotOverlapCanonicalSrc(t *testing.T) {
+	for _, src := range []string{"", "10.0.0.1", "2001:db8::1", "::ffff:10.0.0.1", "fe80::1%eth0"} {
+		frame := overlapFrame(src)
+		a := NewOverlapAgg()
+		if err := RestoreSnapshot(frame, a); err != nil {
+			t.Errorf("canonical src %q rejected: %v", src, err)
+			continue
+		}
+		if re := snapshotOf(t, a); !bytes.Equal(re, frame) {
+			t.Errorf("src %q: re-encoded frame %x, want %x", src, re, frame)
+		}
+	}
+	for _, src := range []string{"010.0.0.1", "2001:0db8::1", "2001:DB8::1", "::FFFF:10.0.0.1", " 10.0.0.1", "invalid IP", "example.com"} {
+		if err := RestoreSnapshot(overlapFrame(src), NewOverlapAgg()); err == nil {
+			t.Errorf("non-canonical src %q accepted", src)
+		}
+	}
+}
+
 // inUnit fails the test unless v is a share in [0, 1].
 func inUnit(t *testing.T, what string, v float64) {
 	t.Helper()
@@ -277,6 +314,14 @@ func FuzzSnapshotCodec(f *testing.F) {
 	crafted[fleetDistribution].(*SignatureByCountryAgg).t.row("CN")[core.SigSYNRST] = 5
 	if seed, err := AppendSnapshot(nil, crafted); err == nil {
 		f.Add(seed)
+	}
+	// A fleet frame whose overlap pair names its client "010.0.0.1":
+	// not an address's canonical text, so it must be rejected.
+	overlap := NewFleetAggs()
+	overlap.Add(&Record{Src: netip.MustParseAddr("10.0.0.1"),
+		Res: core.Result{Signature: core.SigNotTampering, Domain: "example.com"}})
+	if seed, err := AppendSnapshot(nil, overlap); err == nil {
+		f.Add(bytes.Replace(seed, wire.AppendString(nil, "10.0.0.1"), wire.AppendString(nil, "010.0.0.1"), 1))
 	}
 	rob := NewRobustnessAgg("clean", 0)
 	rob.Add(&Record{Res: core.Result{Signature: core.SigSYNRST}})

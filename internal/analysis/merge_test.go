@@ -9,6 +9,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand/v2"
+	"net/netip"
 	"reflect"
 	"testing"
 
@@ -162,7 +163,7 @@ func fuzzRecord(b1, b2, b3 byte) Record {
 		IPVersion: 4 + 2*int(b2&1),
 		Hour:      int(b3 % 48),
 		Time:      int64(b3%48)*3600 + int64(b2),
-		SrcKey:    fmt.Sprintf("10.0.%d.%d", b2%4, b3%4),
+		Src:       netip.AddrFrom4([4]byte{10, 0, b2 % 4, b3 % 4}),
 		SrcPort:   uint16(b1)<<8 | uint16(b2),
 		DstPort:   ports[int(b1)%len(ports)],
 	}

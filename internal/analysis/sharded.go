@@ -21,6 +21,11 @@ import (
 type Sharded struct {
 	shards []Aggregator
 	caches []*geo.Cache
+	// recs is each worker's reusable record. Passing a stack record
+	// through the Aggregator interface would move it to the heap on
+	// every call; Add only borrows the record, so one per worker
+	// suffices, each its own allocation so workers share no cache line.
+	recs   []*Record
 	merged bool
 }
 
@@ -35,10 +40,12 @@ func NewSharded(db *geo.DB, workers int, fresh func() Aggregator) *Sharded {
 	s := &Sharded{
 		shards: make([]Aggregator, workers),
 		caches: make([]*geo.Cache, workers),
+		recs:   make([]*Record, workers),
 	}
 	for i := range s.shards {
 		s.shards[i] = fresh()
 		s.caches[i] = geo.NewCache(db)
+		s.recs[i] = new(Record)
 	}
 	return s
 }
@@ -53,8 +60,9 @@ func (s *Sharded) Observe(worker int, it pipeline.Item) {
 	if it.Err != nil {
 		return
 	}
-	rec := NewRecord(it.Conn, s.caches[worker], it.Res)
-	s.shards[worker].Add(&rec)
+	rec := s.recs[worker]
+	*rec = NewRecord(it.Conn, s.caches[worker], it.Res)
+	s.shards[worker].Add(rec)
 }
 
 // Merged folds every shard into one aggregator and returns it. Call

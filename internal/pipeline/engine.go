@@ -232,6 +232,10 @@ func run(ctx context.Context, cfg Config, sink Sink, fronts []*front) (Counts, e
 	if tel != nil {
 		tel.attach(m)
 	}
+	// Order is only observable through a sink: without one, fronts
+	// deliver as they finish, so a later front never waits on an
+	// earlier one.
+	ordered := cfg.Ordered && sink != nil
 	if sink == nil {
 		sink = func(Item) error { return nil }
 	}
@@ -339,7 +343,7 @@ func run(ctx context.Context, cfg Config, sink Sink, fronts []*front) (Counts, e
 		e.putItems(ib)
 	}
 	switch {
-	case cfg.Ordered:
+	case ordered:
 		// Fronts are delivered strictly in order, each through a reorder
 		// buffer keyed by batch first index: a front fills batches with
 		// contiguous indexes from its base, so first-index order is
@@ -347,7 +351,8 @@ func run(ctx context.Context, cfg Config, sink Sink, fronts []*front) (Counts, e
 		// output. A later front's results buffer only up to its bounded
 		// channel depth while an earlier one drains, so memory stays
 		// bounded — ordered multi-front ingest is for deterministic
-		// output, not for peak throughput.
+		// output, not for peak throughput, which is why a run without a
+		// sink never takes this path.
 		for _, f := range fronts {
 			pending := make(map[int]*itemBatch)
 			next := f.base

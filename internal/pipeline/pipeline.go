@@ -97,7 +97,10 @@ type Config struct {
 	BatchSize int
 	// Ordered delivers items to the sink in decode order (index 0, 1,
 	// 2, …). Unordered delivery has lower latency skew under uneven
-	// classify costs; ordered delivery is deterministic.
+	// classify costs; ordered delivery is deterministic. With a nil
+	// sink there is no order to observe, so Ordered is ignored and a
+	// multi-front run lets every front proceed at once instead of
+	// draining them one after another; Observe is unordered either way.
 	Ordered bool
 	// Classifier overrides the classifier; nil builds one with
 	// core.DefaultConfig(). A single *core.Classifier is shared by all

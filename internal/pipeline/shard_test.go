@@ -235,6 +235,56 @@ func TestShardedScanOrderedDelivery(t *testing.T) {
 	}
 }
 
+// TestShardedScanSinklessFrontsOverlap pins that Ordered costs nothing
+// without a sink: front 0's observer holds its first record until front
+// 1 has observed every record of its segment, which can only happen if
+// front 1 runs while front 0 is stalled. Ordered draining would park
+// front 1 behind its bounded channels a few batches in and deadlock
+// until the timeout. It needs no spare CPUs, unlike the scaling gate.
+func TestShardedScanSinklessFrontsOverlap(t *testing.T) {
+	data := encodeIndexed(t, testConns(5000), 64)
+	src := shardedSource(t, data, 2)
+	if src.Segments() != 2 {
+		t.Fatalf("%d segments, want 2", src.Segments())
+	}
+	split, rest := src.Segment(1).FirstRecord, int64(src.Segment(1).Records)
+	if split <= 1000 || rest <= 1000 {
+		t.Fatalf("segments of %d and %d records; want both above 1000", split, rest)
+	}
+	var seen1 atomic.Int64
+	front1Done := make(chan struct{})
+	stalledAt := int64(-1) // front 1's count when the wait timed out
+	waited := false        // both touched only by front 0's single worker
+	cfg := Config{Workers: 2, Ordered: true, Observe: func(worker int, it Item) {
+		if it.Index >= split {
+			if seen1.Add(1) == rest {
+				close(front1Done)
+			}
+			return
+		}
+		if waited {
+			return
+		}
+		waited = true
+		select {
+		case <-front1Done:
+		case <-time.After(10 * time.Second):
+			stalledAt = seen1.Load()
+		}
+	}}
+	counts, err := ShardedScan(context.Background(), src, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stalledAt >= 0 {
+		t.Fatalf("front 1 observed %d of %d records in 10s while front 0 was held: fronts do not overlap without a sink",
+			stalledAt, rest)
+	}
+	if counts.Delivered != 5000 {
+		t.Fatalf("delivered %d of 5000", counts.Delivered)
+	}
+}
+
 // TestShardedScanObserverContract pins the worker-index contract that
 // shared per-worker observers (analysis.Sharded) size themselves by:
 // every Observe call carries a worker index in [0, ShardWorkers(w, k)),
