@@ -602,7 +602,7 @@ func NewEvidenceAgg(capPerSig int) *EvidenceAgg {
 // shard computes the same key for the same record.
 func evidenceKey(r *Record) uint64 {
 	h := fnv.New64a()
-	var src [64]byte // the longest Addr text (IPv6 with a zone) fits
+	var src [64]byte // holds any address text short of a long IPv6 zone
 	h.Write(r.Src.AppendTo(src[:0]))
 	var b [12]byte
 	b[0] = byte(r.SrcPort >> 8)
