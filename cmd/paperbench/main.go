@@ -17,7 +17,9 @@
 // The shared dataset is built in ONE streaming pass: connections flow
 // from the simulator through the classification pipeline, and every
 // experiment's aggregator ingests each record as it is classified —
-// nothing buffers the capture, so peak memory is constant in -total.
+// nothing buffers the capture. Most aggregators are bounded by their
+// key counts, but Figure 10 keeps one observation per domain-visible
+// record on its axes, so peak memory grows with -total.
 // Each pipeline worker owns a private shard of the aggregator set; the
 // shards merge when the stream drains, exactly as per-PoP aggregates
 // merge into the paper's global tables.

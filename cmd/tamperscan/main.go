@@ -74,10 +74,13 @@
 // partial report prints, pending pushes flush, and the process exits 3
 // (the partial-results code).
 //
-// Exit status: 0 on a clean scan, 1 on failure, 2 on usage errors, and
-// 3 when the scan ended early — input truncated or corrupt partway
+// Exit status: 0 on a clean scan, 1 on failure, 2 on usage errors, 3
+// when the scan ended early — input truncated or corrupt partway
 // through, or interrupted by a signal — with the report for the
-// scanned prefix still printed.
+// scanned prefix still printed, and 4 when the report printed but a
+// -push frame was lost: the merger rejected it, or it could not be
+// delivered and there was no -push-spill directory to keep it. 4
+// takes precedence over 3.
 package main
 
 import (
@@ -162,6 +165,9 @@ exit status:
   3  scan ended early — input truncated or corrupt partway through, or
      interrupted by SIGINT/SIGTERM; the report for the scanned prefix
      was still printed
+  4  the report printed, but a -push frame was lost: the merger
+     rejected it, or it was undeliverable and not spilled (takes
+     precedence over 3)
 `)
 		flag.PrintDefaults()
 	}
@@ -181,15 +187,32 @@ exit status:
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tamperscan:", err)
-		// A truncated or corrupt capture that still yielded results
-		// exits 3, distinct from total failure (1) and usage (2), so
-		// callers can keep the partial report while noticing the damage.
-		if errors.As(err, new(*partialError)) {
-			os.Exit(3)
-		}
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
 }
+
+// exitCode maps run's error to the exit status. A lost push frame
+// exits 4 and a truncated or corrupt capture that still yielded
+// results exits 3, both distinct from total failure (1) and usage (2),
+// so callers can keep the report while noticing the damage.
+func exitCode(err error) int {
+	switch {
+	case errors.As(err, new(*pushLostError)):
+		return 4
+	case errors.As(err, new(*partialError)):
+		return 3
+	}
+	return 1
+}
+
+// pushLostError marks a scan whose report printed but at least one of
+// whose -push frames reached no merger and is not spilled for a later
+// run.
+type pushLostError struct{ err error }
+
+func (e *pushLostError) Error() string { return "fleet push lost frames: " + e.err.Error() }
+
+func (e *pushLostError) Unwrap() error { return e.err }
 
 // partialError marks a scan that ended mid-stream — damaged input or a
 // signal — after producing a partial report.
@@ -421,6 +444,7 @@ func run(path string, opts options) error {
 	// through the Observe hook (no geo plan: a scan keys nothing by
 	// country); the sink only exists for -v, and ordered delivery
 	// keeps its listing deterministic across worker and shard counts.
+	var pushErr error // a *pushLostError from the kept attempt's push
 	scanOnce := func(seg *capture.SegmentedSource) (*report, error, error) {
 		nworkers := w
 		if seg != nil {
@@ -476,7 +500,7 @@ func run(path string, opts options) error {
 			if willRescan {
 				fp.discard()
 			} else if err := fp.finish(); err != nil {
-				log.Warn("fleet push incomplete", "err", err)
+				pushErr = &pushLostError{err}
 			}
 		}
 		return rep, runErr, nil
@@ -537,10 +561,10 @@ func run(path string, opts options) error {
 		// distinct exit code.
 		log.Warn("scan ended early; reporting the scanned prefix", "err", runErr.Error(), "connections", rep.total)
 		rep.print()
-		return &partialError{err: runErr}
+		return errors.Join(&partialError{err: runErr}, pushErr)
 	}
 	rep.print()
-	return nil
+	return pushErr
 }
 
 // openSource auto-detects TDCAP vs pcap input; "-" reads a stream

@@ -200,7 +200,7 @@ func (fp *fleetPush) pushEpoch(final bool) error {
 // finish pushes the final epoch, flushes the queue against its own
 // deadline (a signalled scan still drains its pushes), and reports the
 // delivery stats. It returns an error only when frames were lost —
-// failed outright with nowhere to spill.
+// rejected by the merger, or failed outright with nowhere to spill.
 func (fp *fleetPush) finish() error {
 	fp.stopTicker()
 	pushErr := fp.pushEpoch(true)
@@ -211,12 +211,16 @@ func (fp *fleetPush) finish() error {
 	st := fp.pusher.Stats()
 	fp.log.Info("push summary",
 		"delivered", st.Delivered, "retries", st.Retries,
-		"spilled", st.Spilled, "resumed", st.Resumed, "failed", st.Failed)
+		"spilled", st.Spilled, "resumed", st.Resumed, "failed", st.Failed,
+		"rejected", st.Rejected)
 	if pushErr != nil {
 		return pushErr
 	}
 	if flushErr != nil {
 		return fmt.Errorf("flushing push queue: %w", flushErr)
+	}
+	if st.Rejected > 0 {
+		return fmt.Errorf("%d frame(s) rejected by the merger", st.Rejected)
 	}
 	if st.Failed > 0 {
 		return fmt.Errorf("%d frame(s) undeliverable and not spilled (set -push-spill to survive merger outages)", st.Failed)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -110,6 +111,34 @@ func TestRunPushSpillAndResume(t *testing.T) {
 	}
 	if len(files) != 0 {
 		t.Errorf("%d spill files left after resume", len(files))
+	}
+}
+
+// TestRunPushRejectedExits4: a merger that answers 400 gets one attempt
+// per frame; the frame is neither retried nor spilled, and the scan
+// reports the loss with exit status 4 instead of succeeding.
+func TestRunPushRejectedExits4(t *testing.T) {
+	fastPush(t)
+	path := filepath.Join(t.TempDir(), "x.tdcap")
+	if err := tamperdetect.WriteCaptureFile(path, sampleConns()); err != nil {
+		t.Fatal(err)
+	}
+	var attempts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		http.Error(w, "fleet: compressed payload too large", http.StatusBadRequest)
+	}))
+	t.Cleanup(srv.Close)
+	spill := t.TempDir()
+	err := run(path, options{workers: 1, pushURL: srv.URL, pop: "test01", pushSpill: spill})
+	if code := exitCode(err); err == nil || code != 4 {
+		t.Errorf("run = %v (exit %d), want a lost-frame error (exit 4)", err, code)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("merger saw %d attempts at the one frame, want 1", n)
+	}
+	if files, _ := os.ReadDir(spill); len(files) != 0 {
+		t.Errorf("spill dir holds %d files, want none: a rejected frame is not spilled", len(files))
 	}
 }
 

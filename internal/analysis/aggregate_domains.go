@@ -7,8 +7,11 @@ package analysis
 // determinism invariant.
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/domains"
@@ -236,47 +239,50 @@ func (a *DomainAgg) ListCoverage(suite *testlists.Suite, regions []string, minMa
 // ---------------------------------------------------------------------
 // Figure 10: signature overlap
 
-type pairKey struct {
+// overlapObs is one Figure 10 observation: a domain-visible record
+// whose signature lies on the matrix axes.
+type overlapObs struct {
 	src    netip.Addr
 	domain string
+	time   int64
+	sig    core.Signature
 }
 
-type pairObs struct {
-	time int64
-	sig  core.Signature
-}
+// overlapAxis maps a signature to its Figure 10 row/column; onAxis
+// says whether it has one.
+var overlapAxis, onAxis = func() (idx [numSigs]int, on [numSigs]bool) {
+	for i, s := range postPSHAxes() {
+		idx[s], on[s] = i, true
+	}
+	return idx, on
+}()
 
-// OverlapAgg incrementally computes Figure 10. It retains one
-// (time, signature) observation per axis-relevant record of every
-// (client, domain) pair and sorts each pair's observations by
-// (time, signature) at finalize, so the transition counts are a pure
-// function of the record multiset: unordered sinks or shuffled inputs
-// produce the identical matrix. State is bounded by the number of
-// domain-visible observations on the Figure 10 axes (Not-Tampering and
-// Post-PSH signatures), not by capture size.
+// OverlapAgg incrementally computes Figure 10. It keeps one flat log
+// with one (client, domain, time, signature) observation per
+// domain-visible record on the Figure 10 axes (Not-Tampering and the
+// Post-PSH signatures): Add and Merge only append. Memory therefore
+// grows with the number of such records, not with the number of
+// distinct pairs. Matrix and the snapshot encoder sort the log by
+// (client, domain, time, signature) and walk runs of equal pairs, so
+// the transition counts and the frame bytes are a pure function of
+// the record multiset: unordered sinks or shuffled inputs produce the
+// identical matrix.
+//
+// Because Matrix and AppendSnapshot sort the log in place, each needs
+// exclusive access to the aggregator, as Add and Merge do.
 type OverlapAgg struct {
-	axisIdx map[core.Signature]int
-	obs     map[pairKey][]pairObs
+	log []overlapObs
 }
 
 // NewOverlapAgg returns an empty Figure 10 aggregator.
-func NewOverlapAgg() *OverlapAgg {
-	a := &OverlapAgg{axisIdx: map[core.Signature]int{}, obs: map[pairKey][]pairObs{}}
-	for i, s := range postPSHAxes() {
-		a.axisIdx[s] = i
-	}
-	return a
-}
+func NewOverlapAgg() *OverlapAgg { return &OverlapAgg{} }
 
 func (a *OverlapAgg) Add(r *Record) {
-	if r.Res.Domain == "" {
+	s := r.Res.Signature
+	if r.Res.Domain == "" || uint(s) >= uint(numSigs) || !onAxis[s] {
 		return
 	}
-	if _, ok := a.axisIdx[r.Res.Signature]; !ok {
-		return
-	}
-	k := pairKey{src: r.Src, domain: r.Res.Domain}
-	a.obs[k] = append(a.obs[k], pairObs{time: r.Time, sig: r.Res.Signature})
+	a.log = append(a.log, overlapObs{src: r.Src, domain: r.Res.Domain, time: r.Time, sig: s})
 }
 
 func (a *OverlapAgg) Merge(other Aggregator) error {
@@ -284,16 +290,34 @@ func (a *OverlapAgg) Merge(other Aggregator) error {
 	if !ok {
 		return mismatch(a, other)
 	}
-	for k, oo := range o.obs {
-		a.obs[k] = append(a.obs[k], oo...)
-	}
+	a.log = append(a.log, o.log...)
 	return nil
 }
 
-// Matrix finalizes Figure 10. Each pair's observations are ordered by
-// (time, signature) — the canonical temporal order, with the signature
-// tie-break covering the 1-second timestamp granularity — and adjacent
-// observations contribute one transition.
+// sortLog orders the log by pair, then by (time, signature) — the
+// canonical temporal order, with the signature tie-break covering the
+// 1-second timestamp granularity.
+func (a *OverlapAgg) sortLog() {
+	slices.SortFunc(a.log, func(x, y overlapObs) int {
+		if c := x.src.Compare(y.src); c != 0 {
+			return c
+		}
+		if c := strings.Compare(x.domain, y.domain); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.time, y.time); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.sig, y.sig)
+	})
+}
+
+// samePair reports whether two observations belong to one pair.
+func samePair(x, y *overlapObs) bool { return x.src == y.src && x.domain == y.domain }
+
+// Matrix finalizes Figure 10: within each pair, observations in
+// (time, signature) order and each adjacent two contribute one
+// transition.
 func (a *OverlapAgg) Matrix() OverlapMatrix {
 	axes := postPSHAxes()
 	n := len(axes)
@@ -301,16 +325,11 @@ func (a *OverlapAgg) Matrix() OverlapMatrix {
 	for i := range counts {
 		counts[i] = make([]int, n)
 	}
+	a.sortLog()
 	pairs := 0
-	for _, obs := range a.obs {
-		sort.Slice(obs, func(i, j int) bool {
-			if obs[i].time != obs[j].time {
-				return obs[i].time < obs[j].time
-			}
-			return obs[i].sig < obs[j].sig
-		})
-		for i := 1; i < len(obs); i++ {
-			counts[a.axisIdx[obs[i-1].sig]][a.axisIdx[obs[i].sig]]++
+	for i := 1; i < len(a.log); i++ {
+		if samePair(&a.log[i-1], &a.log[i]) {
+			counts[overlapAxis[a.log[i-1].sig]][overlapAxis[a.log[i].sig]]++
 			pairs++
 		}
 	}

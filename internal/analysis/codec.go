@@ -29,7 +29,9 @@ package analysis
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 
 	"tamperdetect/internal/core"
 	"tamperdetect/internal/stats"
@@ -328,39 +330,41 @@ func (a *EvidenceAgg) restoreSnapshot(d *wire.Decoder) error {
 func (a *OverlapAgg) tag() byte { return tagOverlap }
 
 func (a *OverlapAgg) appendSnapshot(b []byte) ([]byte, error) {
-	// Pairs sort by the address text the frame carries, not by Addr
-	// order, so entries appear in the order of their encoded bytes.
-	type entry struct {
-		src string
-		k   pairKey
+	// The sorted log holds each pair's observations as one run in the
+	// canonical (time, signature) order, so the frame is a pure
+	// function of the observation multiset. Pairs are listed by the
+	// address text the frame carries, then by domain — not by Addr
+	// order — so entries appear in the order of their encoded bytes.
+	a.sortLog()
+	type run struct {
+		src        string
+		start, end int
 	}
-	keys := make([]entry, 0, len(a.obs))
-	for k := range a.obs {
-		keys = append(keys, entry{addrText(k.src), k})
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
+	var runs []run
+	src := ""
+	for i := 0; i < len(a.log); {
+		j := i + 1
+		for j < len(a.log) && samePair(&a.log[i], &a.log[j]) {
+			j++
 		}
-		return keys[i].k.domain < keys[j].k.domain
+		if i == 0 || a.log[i].src != a.log[i-1].src {
+			src = addrText(a.log[i].src)
+		}
+		runs = append(runs, run{src, i, j})
+		i = j
+	}
+	slices.SortFunc(runs, func(x, y run) int {
+		if c := strings.Compare(x.src, y.src); c != 0 {
+			return c
+		}
+		return strings.Compare(a.log[x.start].domain, a.log[y.start].domain)
 	})
-	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, e := range keys {
-		// The stored slice keeps Add order; encode the canonical
-		// (time, signature) order instead so the frame is a pure
-		// function of the observation multiset. Matrix() applies the
-		// same ordering at finalize, so this is behavior-preserving.
-		obs := append([]pairObs(nil), a.obs[e.k]...)
-		sort.Slice(obs, func(i, j int) bool {
-			if obs[i].time != obs[j].time {
-				return obs[i].time < obs[j].time
-			}
-			return obs[i].sig < obs[j].sig
-		})
-		b = wire.AppendString(b, e.src)
-		b = wire.AppendString(b, e.k.domain)
-		b = wire.AppendUvarint(b, uint64(len(obs)))
-		for _, o := range obs {
+	b = wire.AppendUvarint(b, uint64(len(runs)))
+	for _, r := range runs {
+		b = wire.AppendString(b, r.src)
+		b = wire.AppendString(b, a.log[r.start].domain)
+		b = wire.AppendUvarint(b, uint64(r.end-r.start))
+		for _, o := range a.log[r.start:r.end] {
 			b = wire.AppendVarint(b, o.time)
 			b = wire.AppendUvarint(b, uint64(o.sig))
 		}
@@ -381,17 +385,16 @@ func (a *OverlapAgg) restoreSnapshot(d *wire.Decoder) error {
 		if err != nil {
 			return err
 		}
-		k := pairKey{src: src, domain: domain}
 		for j := 0; j < cnt; j++ {
 			t := d.Varint()
 			sig, err := decodeSig(d)
 			if err != nil {
 				return err
 			}
-			if _, ok := a.axisIdx[sig]; !ok {
+			if !onAxis[sig] {
 				return fmt.Errorf("analysis: overlap snapshot carries off-axis signature %v", sig)
 			}
-			a.obs[k] = append(a.obs[k], pairObs{time: t, sig: sig})
+			a.log = append(a.log, overlapObs{src: src, domain: domain, time: t, sig: sig})
 		}
 	}
 	return d.Err()

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,12 +41,13 @@ type PusherConfig struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// MaxAttempts bounds attempts per frame before it spills (or is
-	// counted failed); default 8.
+	// counted failed); default 8. A rejected frame gets one attempt.
 	MaxAttempts int
 	// QueueLen bounds the in-memory retry queue (default 64).
 	QueueLen int
 	// SpillDir, when set, receives frames the queue cannot hold or
-	// that exhausted their attempts; Resume re-enqueues them.
+	// that exhausted their attempts; Resume re-enqueues them. Rejected
+	// frames are never spilled.
 	SpillDir string
 	// Seed seeds the jitter RNG (0 means unjittered determinism is
 	// fine — tests).
@@ -64,7 +66,16 @@ type PusherStats struct {
 	Resumed int64
 	// Failed frames lost: attempts exhausted and no spill directory.
 	Failed int64
+	// Rejected frames the merger refused outright with a 4xx status
+	// other than 408 (request timeout) and 429 (too many requests):
+	// sent once, never retried or spilled. A rejected resumed frame is
+	// set aside as *.rejected in the spill directory.
+	Rejected int64
 }
+
+// errRejected marks a merger's permanent refusal of a frame (see
+// PusherStats.Rejected): sending the same bytes again cannot succeed.
+var errRejected = errors.New("fleet: frame rejected by merger")
 
 type queued struct {
 	frame []byte
@@ -96,6 +107,7 @@ type Pusher struct {
 	spilled   atomic.Int64
 	resumed   atomic.Int64
 	failed    atomic.Int64
+	rejected  atomic.Int64
 }
 
 // NewPusher starts a pusher; callers own Close.
@@ -154,7 +166,9 @@ func (p *Pusher) Push(frame []byte) error {
 // Resume re-enqueues every frame a previous run spilled to SpillDir,
 // oldest first. Spill files are deleted only after the merger
 // acknowledges them, so crashing mid-resume loses nothing — the dedup
-// on the merge side makes re-resuming the same files harmless.
+// on the merge side makes re-resuming the same files harmless. A
+// spilled frame the merger rejects is renamed from *.snap to
+// *.rejected, so later runs do not send it again.
 func (p *Pusher) Resume() (int, error) {
 	if p.cfg.SpillDir == "" {
 		return 0, nil
@@ -229,6 +243,7 @@ func (p *Pusher) Stats() PusherStats {
 		Spilled:   p.spilled.Load(),
 		Resumed:   p.resumed.Load(),
 		Failed:    p.failed.Load(),
+		Rejected:  p.rejected.Load(),
 	}
 }
 
@@ -241,16 +256,25 @@ func (p *Pusher) loop() {
 }
 
 // deliver attempts one frame to exhaustion, then spills or fails it.
+// A rejected frame stops at its first attempt.
 func (p *Pusher) deliver(q queued) {
 	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			p.retries.Add(1)
 			time.Sleep(p.backoff(attempt))
 		}
-		if p.attempt(q.frame) == nil {
+		err := p.attempt(q.frame)
+		if err == nil {
 			p.delivered.Add(1)
 			if q.spillPath != "" {
 				os.Remove(q.spillPath)
+			}
+			return
+		}
+		if errors.Is(err, errRejected) {
+			p.rejected.Add(1)
+			if q.spillPath != "" {
+				os.Rename(q.spillPath, strings.TrimSuffix(q.spillPath, ".snap")+".rejected")
 			}
 			return
 		}
@@ -270,7 +294,8 @@ func (p *Pusher) deliver(q queued) {
 
 // attempt posts the frame once under the per-attempt deadline. Any
 // 2xx is success — the merger acknowledges duplicates and late frames
-// with 200 precisely so the client stops retrying them.
+// with 200 precisely so the client stops retrying them. A permanent
+// 4xx wraps errRejected.
 func (p *Pusher) attempt(frame []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.Timeout)
 	defer cancel()
@@ -288,10 +313,14 @@ func (p *Pusher) attempt(frame []byte) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("fleet: push status %d", resp.StatusCode)
+	code := resp.StatusCode
+	switch {
+	case code >= 200 && code <= 299:
+		return nil
+	case code >= 400 && code <= 499 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests:
+		return fmt.Errorf("%w: status %d", errRejected, code)
 	}
-	return nil
+	return fmt.Errorf("fleet: push status %d", code)
 }
 
 // backoff returns the capped exponential delay for the given attempt

@@ -211,3 +211,74 @@ func TestPusherQueueFull(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPusherRejectedFrameOneAttempt: a permanent 4xx costs one attempt
+// and is counted rejected, never spilled; 408 and 429 stay transient.
+// A rejected resumed frame is set aside as *.rejected.
+func TestPusherRejectedFrameOneAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		status   int
+		rejected bool
+	}{
+		{http.StatusBadRequest, true},
+		{http.StatusRequestEntityTooLarge, true},
+		{http.StatusRequestTimeout, false},
+		{http.StatusTooManyRequests, false},
+	} {
+		attempts := 0
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			attempts++
+			http.Error(w, "no", tc.status)
+		}))
+		dir := t.TempDir()
+		p, err := NewPusher(fastPusher(srv.URL, func(c *PusherConfig) { c.SpillDir = dir }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Push([]byte("frame")); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		srv.Close()
+		st := p.Stats()
+		files, _ := os.ReadDir(dir)
+		if tc.rejected {
+			if attempts != 1 || st.Rejected != 1 || st.Spilled != 0 || st.Retries != 0 || len(files) != 0 {
+				t.Errorf("status %d: %d attempts, %d spill files, stats %+v; want 1 attempt, rejected, nothing spilled",
+					tc.status, attempts, len(files), st)
+			}
+		} else if attempts != 4 || st.Rejected != 0 || st.Spilled != 1 || len(files) != 1 {
+			t.Errorf("status %d: %d attempts, %d spill files, stats %+v; want 4 attempts, then a spill",
+				tc.status, attempts, len(files), st)
+		}
+	}
+
+	dir := t.TempDir()
+	spilled := dir + "/00000000000000000001-000001.snap"
+	if err := os.WriteFile(spilled, []byte("frame"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	attempts := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts++
+		http.Error(w, "bad frame", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	p, err := NewPusher(fastPusher(srv.URL, func(c *PusherConfig) { c.SpillDir = dir }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Resume(); n != 1 || err != nil {
+		t.Fatalf("Resume = %d, %v", n, err)
+	}
+	p.Close()
+	if _, err := os.Stat(dir + "/00000000000000000001-000001.rejected"); err != nil {
+		t.Errorf("rejected spill file not set aside: %v", err)
+	}
+	if st := p.Stats(); attempts != 1 || st.Rejected != 1 || st.Spilled != 0 {
+		t.Errorf("resumed rejection: %d attempts, stats %+v", attempts, st)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 {
+		t.Errorf("spill dir holds %d files, want only the rejected frame", len(left))
+	}
+}

@@ -167,10 +167,14 @@ func deflateBytes(p []byte) []byte {
 // still fails before touching global state. Decompression is bounded:
 // a compressed frame (v2, or v3 with the flate flag) must declare a
 // raw length within MaxFrameBytes and its flate stream must inflate to
-// exactly that many bytes.
+// exactly that many bytes. A strict prefix of a frame fails with an
+// error wrapping wire.ErrTruncated.
 func DecodeEnvelope(data []byte) (*Envelope, error) {
 	if len(data) > MaxFrameBytes {
 		return nil, fmt.Errorf("fleet: frame of %d bytes exceeds limit %d", len(data), MaxFrameBytes)
+	}
+	if len(data) < len(magic) && string(data) == magic[:len(data)] {
+		return nil, fmt.Errorf("fleet: frame ends inside its magic: %w", wire.ErrTruncated)
 	}
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("fleet: bad frame magic")

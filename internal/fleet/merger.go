@@ -14,6 +14,7 @@ import (
 	"tamperdetect/internal/pipeline"
 	"tamperdetect/internal/telemetry"
 	"tamperdetect/internal/trace"
+	"tamperdetect/internal/wire"
 )
 
 // Merge-side span names. Both adopt the trace context carried by a v3
@@ -382,7 +383,15 @@ func (m *Merger) handlePush(w http.ResponseWriter, r *http.Request) {
 		m.stats.Rejected++
 		m.mu.Unlock()
 		m.cfg.Tracer.Flight().Record("ERROR", "fleet frame undecodable", trace.A("err", err))
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		// A body that ends before its frame does did not arrive whole,
+		// so the client may send it again: 408, which the Pusher
+		// retries. Any other defect is in the frame's own bytes and
+		// recurs on every resend: 400, which it does not.
+		status := http.StatusBadRequest
+		if errors.Is(err, wire.ErrTruncated) {
+			status = http.StatusRequestTimeout
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	status, err := m.Ingest(env)

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -199,5 +202,35 @@ func TestMergerLiveness(t *testing.T) {
 	st = m.Status()
 	if !st.PoPs[0].Stale {
 		t.Errorf("silent pop not marked stale: %+v", st.PoPs[0])
+	}
+}
+
+// TestMergerPushStatus: every strict prefix of a frame — a body cut
+// short in transit — answers 408, which the Pusher retries; a frame
+// whose own bytes are bad answers 400, which it does not.
+func TestMergerPushStatus(t *testing.T) {
+	pops, _ := fleetDataset(t)
+	frame := popFrames(t, "pop00", pops[0])[0]
+	m := newTestMerger(t, nil)
+	push := m.Handler()["/v1/push"]
+	post := func(body []byte) int {
+		w := httptest.NewRecorder()
+		push.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/push", bytes.NewReader(body)))
+		return w.Code
+	}
+	for n := 1; n < len(frame); n += 1 + n/8 {
+		if code := post(frame[:n]); code != http.StatusRequestTimeout {
+			t.Fatalf("%d-byte prefix of a %d-byte frame: status %d, want 408", n, len(frame), code)
+		}
+	}
+	bad := bytes.Replace(frame, []byte(magic), []byte("XXXXXX"), 1)
+	if code := post(bad); code != http.StatusBadRequest {
+		t.Errorf("bad magic: status %d, want 400", code)
+	}
+	if code := post(append(append([]byte(nil), frame...), 0)); code != http.StatusBadRequest {
+		t.Errorf("trailing byte: status %d, want 400", code)
+	}
+	if code := post(frame); code != http.StatusOK {
+		t.Errorf("intact frame: status %d, want 200", code)
 	}
 }

@@ -27,6 +27,7 @@ targets="
 ./internal/httpwire:FuzzParseRequest
 ./internal/analysis:FuzzMergeAssociativity
 ./internal/analysis:FuzzSnapshotCodec
+./internal/analysis:FuzzOverlapAggOracle
 ./internal/fleet:FuzzEnvelope
 ./internal/fleet:FuzzTraceEnvelope
 ./internal/telemetry:FuzzHistogramMergeAssociativity

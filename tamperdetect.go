@@ -321,9 +321,11 @@ var (
 // worker owns a private aggregator shard (built by fresh) and a
 // private geo lookup cache, records are added lock-free from the
 // worker that classified them, and the shards merge into the returned
-// aggregator when the stream ends. Memory stays constant in capture
-// size — nothing is buffered beyond the pipeline's bounded queues and
-// the aggregator state itself.
+// aggregator when the stream ends. Nothing is buffered beyond the
+// pipeline's bounded queues and the aggregator state itself; that
+// state is bounded by key counts for most aggregators, but
+// NewOverlapAgg (Figure 10) keeps one observation per domain-visible
+// record on its axes, so it grows with capture size.
 //
 //	agg, counts, err := tamperdetect.StreamAnalyze(ctx, f,
 //		tamperdetect.StreamConfig{Workers: 8}, nil,
