@@ -165,9 +165,9 @@ exit status:
   3  scan ended early — input truncated or corrupt partway through, or
      interrupted by SIGINT/SIGTERM; the report for the scanned prefix
      was still printed
-  4  the report printed, but a -push frame was lost: the merger
-     rejected it, or it was undeliverable and not spilled (takes
-     precedence over 3)
+  4  the report printed, but a -push frame was not delivered: the
+     merger rejected it (kept as *.rejected under -push-spill), or it
+     was undeliverable and not spilled (takes precedence over 3)
 `)
 		flag.PrintDefaults()
 	}

@@ -114,9 +114,37 @@ func TestRunPushSpillAndResume(t *testing.T) {
 	}
 }
 
+// TestRunPushFlushDeadlineIsNoLoss: a frame still retrying against a
+// dead merger when finish's flush deadline passes is not lost — closing
+// the pusher drains it into the spill directory — so the scan exits 0.
+func TestRunPushFlushDeadlineIsNoLoss(t *testing.T) {
+	old, oldFlush := testHookPusherConfig, pushFlushTimeout
+	testHookPusherConfig = func(c *fleet.PusherConfig) {
+		c.BaseBackoff = 50 * time.Millisecond
+		c.MaxBackoff = 50 * time.Millisecond
+		c.MaxAttempts = 4
+		c.Timeout = 2 * time.Second
+	}
+	pushFlushTimeout = time.Millisecond
+	t.Cleanup(func() { testHookPusherConfig, pushFlushTimeout = old, oldFlush })
+
+	path := filepath.Join(t.TempDir(), "x.tdcap")
+	if err := tamperdetect.WriteCaptureFile(path, sampleConns()); err != nil {
+		t.Fatal(err)
+	}
+	spill := t.TempDir()
+	if err := run(path, options{workers: 1, pushURL: "http://127.0.0.1:1", pop: "test01", pushSpill: spill}); err != nil {
+		t.Fatalf("run = %v (exit %d), want nil: the frame was spilled, not lost", err, exitCode(err))
+	}
+	if files, _ := filepath.Glob(filepath.Join(spill, "*.snap")); len(files) != 1 {
+		t.Errorf("spill dir holds %d .snap files, want 1", len(files))
+	}
+}
+
 // TestRunPushRejectedExits4: a merger that answers 400 gets one attempt
-// per frame; the frame is neither retried nor spilled, and the scan
-// reports the loss with exit status 4 instead of succeeding.
+// per frame; the frame is not retried, it is set aside as *.rejected
+// (not spilled for resuming), and the scan reports the undelivered
+// frame with exit status 4 instead of succeeding.
 func TestRunPushRejectedExits4(t *testing.T) {
 	fastPush(t)
 	path := filepath.Join(t.TempDir(), "x.tdcap")
@@ -137,8 +165,11 @@ func TestRunPushRejectedExits4(t *testing.T) {
 	if n := attempts.Load(); n != 1 {
 		t.Errorf("merger saw %d attempts at the one frame, want 1", n)
 	}
-	if files, _ := os.ReadDir(spill); len(files) != 0 {
-		t.Errorf("spill dir holds %d files, want none: a rejected frame is not spilled", len(files))
+	if files, _ := filepath.Glob(filepath.Join(spill, "*.snap")); len(files) != 0 {
+		t.Errorf("spill dir holds %d .snap files, want none: a rejected frame is not resumed", len(files))
+	}
+	if files, _ := filepath.Glob(filepath.Join(spill, "*.rejected")); len(files) != 1 {
+		t.Errorf("spill dir holds %d .rejected files, want the one rejected frame", len(files))
 	}
 }
 

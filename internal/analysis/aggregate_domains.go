@@ -262,11 +262,13 @@ var overlapAxis, onAxis = func() (idx [numSigs]int, on [numSigs]bool) {
 // domain-visible record on the Figure 10 axes (Not-Tampering and the
 // Post-PSH signatures): Add and Merge only append. Memory therefore
 // grows with the number of such records, not with the number of
-// distinct pairs. Matrix and the snapshot encoder sort the log by
-// (client, domain, time, signature) and walk runs of equal pairs, so
-// the transition counts and the frame bytes are a pure function of
-// the record multiset: unordered sinks or shuffled inputs produce the
-// identical matrix.
+// distinct pairs: the log beats a per-pair layout while pairs average
+// fewer than about 3 observations and loses above (DESIGN.md §3c).
+// Matrix and the snapshot encoder sort the log by (client, domain,
+// time, signature) and walk runs of equal pairs, so the transition
+// counts and the frame bytes are a pure function of the record
+// multiset: unordered sinks or shuffled inputs produce the identical
+// matrix.
 //
 // Because Matrix and AppendSnapshot sort the log in place, each needs
 // exclusive access to the aggregator, as Add and Merge do.

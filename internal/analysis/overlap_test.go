@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"tamperdetect/internal/core"
 )
@@ -124,15 +125,18 @@ func FuzzOverlapAggOracle(f *testing.F) {
 	})
 }
 
-// Cost budgets for TestOverlapAggCost, set at the measured values
-// (35–41 allocations per 100 k Adds, nearly all of them log growth;
-// 63.03 B per observation: a 56 B entry plus append's spare capacity). The
-// map-of-slices aggregator allocated 0.84 times per Add here, about
-// once per new pair, and retained 127.8 B per observation.
-const (
-	overlapAllocsPerAddBudget  = 0.0005
-	overlapRetainedPerObsBytes = 63.1
-)
+// Cost budgets for TestOverlapAggCost. Allocations are set at the
+// measured value (35–41 per 100 k Adds, nearly all of them log
+// growth). Retained heap is derived from the entry size: append grows
+// a large slice by about 1.25×, so the log holds at most that much
+// spare capacity, and 1.3 leaves room for stray allocations in the
+// measuring window (measured: 63.0 B per observation on 64-bit, where
+// an entry is 56 B and the budget 72.8 B). The map-of-slices
+// aggregator allocated 0.84 times per Add and retained 127.8 B per
+// observation on the fresh-pair stream.
+const overlapAllocsPerAddBudget = 0.0005
+
+var overlapRetainedPerObsBytes = 1.3 * float64(unsafe.Sizeof(overlapObs{}))
 
 // overlapCostDomains is the cost stream's domain pool, built once so
 // the stream itself allocates nothing per record.
@@ -143,19 +147,19 @@ var overlapCostDomains = func() (d [64]string) {
 	return d
 }()
 
-// overlapCostStream feeds n synthetic records to add: about 70 % open
-// a new (client, domain) pair and the rest repeat an earlier pair
+// overlapCostStream feeds n synthetic records to add: about newPct %
+// open a new (client, domain) pair and the rest repeat an earlier pair
 // later in time, with one record in ten off the Figure 10 axes and
 // one in twenty without a domain. It returns the number of
 // observations Figure 10 keeps. It allocates nothing per record.
-func overlapCostStream(n int, add func(*Record)) int {
+func overlapCostStream(n, newPct int, add func(*Record)) int {
 	axes := postPSHAxes()
 	rng := rand.New(rand.NewPCG(1, 2))
 	var rec Record
 	pairs, kept := 0, 0
 	for i := 0; i < n; i++ {
 		p := pairs
-		if pairs > 0 && rng.IntN(10) >= 7 {
+		if pairs > 0 && rng.IntN(100) >= newPct {
 			p = rng.IntN(pairs)
 		} else {
 			pairs++
@@ -177,29 +181,62 @@ func overlapCostStream(n int, add func(*Record)) int {
 	return kept
 }
 
-// TestOverlapAggCost is Figure 10's deterministic cost gate over 100 k
-// synthetic records: allocations per Add and heap retained per kept
-// observation after GC.
-func TestOverlapAggCost(t *testing.T) {
-	const n = 100_000
-	allocs := testing.AllocsPerRun(3, func() {
-		overlapCostStream(n, NewOverlapAgg().Add)
-	})
-	if perAdd := allocs / n; perAdd > overlapAllocsPerAddBudget {
-		t.Errorf("OverlapAgg.Add allocates %.4f times per record, budget %.4f", perAdd, overlapAllocsPerAddBudget)
-	}
-
+// retainedBytes reports the heap that build's result keeps alive
+// after GC.
+func retainedBytes(build func() any) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	a := NewOverlapAgg()
-	kept := overlapCostStream(n, a.Add)
+	agg := build()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(a)
-	perObs := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(kept)
-	if perObs > overlapRetainedPerObsBytes {
-		t.Errorf("OverlapAgg retains %.3f B per observation (%d kept), budget %.1f B", perObs, kept, overlapRetainedPerObsBytes)
+	runtime.KeepAlive(agg)
+	return float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+}
+
+// TestOverlapAggCost is Figure 10's deterministic cost gate over 100 k
+// synthetic records: allocations per Add and heap retained per kept
+// observation after GC. The log's cost per observation does not depend
+// on how often (client, domain) pairs repeat, so the gate runs a
+// fresh-pair stream (70 % new pairs, 1.4 observations per pair) and a
+// repeat-heavy one (10 % new, 8.6 per pair). It logs the
+// map-of-slices oracle's cost beside the log's: that one pays per pair,
+// so it is about twice the log's on the fresh-pair stream and about
+// half of it on the repeat-heavy one (see DESIGN.md §3c).
+func TestOverlapAggCost(t *testing.T) {
+	const n = 100_000
+	for _, tc := range []struct {
+		name   string
+		newPct int
+	}{
+		{"fresh-pairs", 70},
+		{"repeat-heavy", 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(3, func() {
+				overlapCostStream(n, tc.newPct, NewOverlapAgg().Add)
+			})
+			if perAdd := allocs / n; perAdd > overlapAllocsPerAddBudget {
+				t.Errorf("OverlapAgg.Add allocates %.4f times per record, budget %.4f", perAdd, overlapAllocsPerAddBudget)
+			}
+
+			var kept, pairs int
+			perObs := retainedBytes(func() any {
+				a := NewOverlapAgg()
+				kept = overlapCostStream(n, tc.newPct, a.Add)
+				return a
+			}) / float64(kept)
+			if perObs > overlapRetainedPerObsBytes {
+				t.Errorf("OverlapAgg retains %.3f B per observation (%d kept), budget %.1f B", perObs, kept, overlapRetainedPerObsBytes)
+			}
+			oracle := retainedBytes(func() any {
+				a := newOracleOverlapAgg()
+				overlapCostStream(n, tc.newPct, a.Add)
+				pairs = len(a.obs)
+				return a
+			}) / float64(kept)
+			t.Logf("%.5f allocs per Add; %d observations over %d pairs (%.2f per pair); retained per observation: log %.2f B, map of slices %.2f B",
+				allocs/n, kept, pairs, float64(kept)/float64(pairs), perObs, oracle)
+		})
 	}
-	t.Logf("%.0f allocs per run, %.5f allocs per Add, %.3f B retained per observation, %d observations kept", allocs, allocs/n, perObs, kept)
 }

@@ -47,7 +47,7 @@ type PusherConfig struct {
 	QueueLen int
 	// SpillDir, when set, receives frames the queue cannot hold or
 	// that exhausted their attempts; Resume re-enqueues them. Rejected
-	// frames are never spilled.
+	// frames are kept there as *.rejected, which Resume skips.
 	SpillDir string
 	// Seed seeds the jitter RNG (0 means unjittered determinism is
 	// fine — tests).
@@ -64,12 +64,14 @@ type PusherStats struct {
 	Spilled int64
 	// Resumed frames re-enqueued from the spill directory.
 	Resumed int64
-	// Failed frames lost: attempts exhausted and no spill directory.
+	// Failed frames lost: attempts exhausted and no spill directory,
+	// or a spill or set-aside write that failed.
 	Failed int64
 	// Rejected frames the merger refused outright with a 4xx status
 	// other than 408 (request timeout) and 429 (too many requests):
-	// sent once, never retried or spilled. A rejected resumed frame is
-	// set aside as *.rejected in the spill directory.
+	// sent once, never retried. With a spill directory the frame is
+	// set aside there as *.rejected (a resumed frame by renaming its
+	// *.snap file); a set-aside that fails also counts in Failed.
 	Rejected int64
 }
 
@@ -273,8 +275,8 @@ func (p *Pusher) deliver(q queued) {
 		}
 		if errors.Is(err, errRejected) {
 			p.rejected.Add(1)
-			if q.spillPath != "" {
-				os.Rename(q.spillPath, strings.TrimSuffix(q.spillPath, ".snap")+".rejected")
+			if p.setAside(q) != nil {
+				p.failed.Add(1)
 			}
 			return
 		}
@@ -336,27 +338,47 @@ func (p *Pusher) backoff(attempt int) time.Duration {
 	return d + jitter
 }
 
-// spill writes one frame to the spill directory with a
-// lexically-ordered unique name.
+// spill writes one frame to the spill directory for a later Resume.
 func (p *Pusher) spill(q queued) error {
-	if err := os.MkdirAll(p.cfg.SpillDir, 0o755); err != nil {
+	if err := p.writeSpill(q.frame, ".snap"); err != nil {
 		p.failed.Add(1)
+		return err
+	}
+	p.spilled.Add(1)
+	return nil
+}
+
+// setAside keeps a rejected frame in the spill directory as
+// *.rejected, where Resume does not pick it up again: a resumed frame
+// by renaming its file, a fresh one by writing it. Without a spill
+// directory there is nowhere to keep it.
+func (p *Pusher) setAside(q queued) error {
+	switch {
+	case q.spillPath != "":
+		return os.Rename(q.spillPath, strings.TrimSuffix(q.spillPath, ".snap")+".rejected")
+	case p.cfg.SpillDir != "":
+		return p.writeSpill(q.frame, ".rejected")
+	}
+	return nil
+}
+
+// writeSpill writes frame to the spill directory under a
+// lexically-ordered unique name ending in suffix.
+func (p *Pusher) writeSpill(frame []byte, suffix string) error {
+	if err := os.MkdirAll(p.cfg.SpillDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: spill: %w", err)
 	}
 	p.mu.Lock()
 	p.seq++
-	name := fmt.Sprintf("%020d-%06d.snap", time.Now().UnixNano(), p.seq)
+	name := fmt.Sprintf("%020d-%06d%s", time.Now().UnixNano(), p.seq, suffix)
 	p.mu.Unlock()
 	path := filepath.Join(p.cfg.SpillDir, name)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, q.frame, 0o644); err != nil {
-		p.failed.Add(1)
+	if err := os.WriteFile(tmp, frame, 0o644); err != nil {
 		return fmt.Errorf("fleet: spill: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		p.failed.Add(1)
 		return fmt.Errorf("fleet: spill: %w", err)
 	}
-	p.spilled.Add(1)
 	return nil
 }

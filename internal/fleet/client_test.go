@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -213,8 +214,10 @@ func TestPusherQueueFull(t *testing.T) {
 }
 
 // TestPusherRejectedFrameOneAttempt: a permanent 4xx costs one attempt
-// and is counted rejected, never spilled; 408 and 429 stay transient.
-// A rejected resumed frame is set aside as *.rejected.
+// and is counted rejected and set aside as *.rejected, never spilled
+// for resuming; 408 and 429 stay transient. A rejected resumed frame's
+// file is renamed to *.rejected, and a rename that fails counts the
+// frame failed.
 func TestPusherRejectedFrameOneAttempt(t *testing.T) {
 	for _, tc := range []struct {
 		status   int
@@ -241,13 +244,15 @@ func TestPusherRejectedFrameOneAttempt(t *testing.T) {
 		p.Close()
 		srv.Close()
 		st := p.Stats()
-		files, _ := os.ReadDir(dir)
+		files, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
+		kept, _ := filepath.Glob(filepath.Join(dir, "*.rejected"))
 		if tc.rejected {
-			if attempts != 1 || st.Rejected != 1 || st.Spilled != 0 || st.Retries != 0 || len(files) != 0 {
-				t.Errorf("status %d: %d attempts, %d spill files, stats %+v; want 1 attempt, rejected, nothing spilled",
-					tc.status, attempts, len(files), st)
+			if attempts != 1 || st.Rejected != 1 || st.Spilled != 0 || st.Retries != 0 || st.Failed != 0 ||
+				len(files) != 0 || len(kept) != 1 {
+				t.Errorf("status %d: %d attempts, %d spill files, %d rejected files, stats %+v; want 1 attempt, rejected, set aside, nothing spilled",
+					tc.status, attempts, len(files), len(kept), st)
 			}
-		} else if attempts != 4 || st.Rejected != 0 || st.Spilled != 1 || len(files) != 1 {
+		} else if attempts != 4 || st.Rejected != 0 || st.Spilled != 1 || len(files) != 1 || len(kept) != 0 {
 			t.Errorf("status %d: %d attempts, %d spill files, stats %+v; want 4 attempts, then a spill",
 				tc.status, attempts, len(files), st)
 		}
@@ -280,5 +285,27 @@ func TestPusherRejectedFrameOneAttempt(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 1 {
 		t.Errorf("spill dir holds %d files, want only the rejected frame", len(left))
+	}
+
+	// A set-aside that fails (here: the *.rejected name is taken by a
+	// directory) leaves the frame counted failed as well as rejected.
+	dir = t.TempDir()
+	spilled = dir + "/00000000000000000001-000001.snap"
+	if err := os.WriteFile(spilled, []byte("frame"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir+"/00000000000000000001-000001.rejected/x", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p, err = NewPusher(fastPusher(srv.URL, func(c *PusherConfig) { c.SpillDir = dir }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Resume(); n != 1 || err != nil {
+		t.Fatalf("Resume = %d, %v", n, err)
+	}
+	p.Close()
+	if st := p.Stats(); st.Rejected != 1 || st.Failed != 1 {
+		t.Errorf("failed set-aside: stats %+v, want rejected and failed", st)
 	}
 }
